@@ -6,16 +6,16 @@
 //! DbValue`, `PhaseStats ↔ RunStats` — and builds the derived identities
 //! the archive is keyed on: the *problem signature* (a stable hash of the
 //! problem's structure) and the deterministic *run id*. It also holds the
-//! load/store glue the MLA loops use: warm-start preloading, checkpoint
-//! construction, and end-of-run archiving.
+//! load/store glue of the batch drivers' shared run lifecycle: warm-start
+//! preloading, failure records, and end-of-run archiving.
 
 use crate::history::History;
-use crate::mla::{EvalFailure, Evaluations};
+use crate::mla::Evaluations;
 use crate::options::MlaOptions;
 use crate::problem::TuningProblem;
 use gptune_db::{
-    fnv1a, Checkpoint, CheckpointKind, CkptFail, Db, DbEntry, DbRecord, DbValue, FailKind,
-    FailRecord, Provenance, Query, RunStats, RunSummary,
+    fnv1a, Db, DbEntry, DbRecord, DbValue, FailKind, FailRecord, Provenance, Query, RunStats,
+    RunSummary,
 };
 use gptune_runtime::{FailureKind, PhaseStats};
 use gptune_space::{Config, Param, ParamKind, Value};
@@ -176,129 +176,6 @@ pub(crate) fn open_db(opts: &MlaOptions) -> Option<Db> {
     })
 }
 
-/// Builds a checkpoint of the in-flight MLA state.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn checkpoint_from_run(
-    kind: CheckpointKind,
-    sig: u64,
-    opts: &MlaOptions,
-    evals: &Evaluations,
-    iteration: usize,
-    eps: usize,
-    n_preloaded: usize,
-    stats: &PhaseStats,
-) -> Checkpoint {
-    Checkpoint {
-        kind,
-        sig,
-        seed: opts.seed,
-        eps_total: opts.eps_total,
-        iteration,
-        eps,
-        n_preloaded,
-        points: evals
-            .points
-            .iter()
-            .map(|(t, c)| (*t, config_to_db(c)))
-            .collect(),
-        outputs: evals.outputs.clone(),
-        stats: stats_to_db(stats),
-        fails: evals
-            .failures
-            .iter()
-            .map(|f| CkptFail {
-                index: f.index,
-                kind: failure_kind_to_db(f.kind),
-                attempts: f.attempts as u64,
-                elapsed_secs: f.elapsed_secs,
-            })
-            .collect(),
-    }
-}
-
-/// Builds and atomically persists a checkpoint of the in-flight state.
-/// Failure panics: the user asked for durability; losing it is loud.
-#[allow(clippy::too_many_arguments)]
-// PANIC-SAFETY: losing the ability to checkpoint mid-run is fatal by
-// design — continuing would silently void the crash-resume guarantee.
-#[allow(clippy::panic)]
-pub(crate) fn write_checkpoint(
-    db: &Db,
-    kind: CheckpointKind,
-    sig: u64,
-    opts: &MlaOptions,
-    evals: &Evaluations,
-    iteration: usize,
-    eps: usize,
-    n_preloaded: usize,
-    stats: &PhaseStats,
-) {
-    let ckpt = checkpoint_from_run(kind, sig, opts, evals, iteration, eps, n_preloaded, stats);
-    let _span = gptune_trace::global()
-        .span("gptune.db.checkpoint_save")
-        .with("iteration", iteration as u64)
-        .with("points", ckpt.points.len());
-    db.save_checkpoint(&ckpt)
-        .unwrap_or_else(|e| panic!("gptune-db: cannot write checkpoint: {e}"));
-}
-
-/// Loads the checkpoint keyed by `(sig, seed)`, spanning the read as
-/// `gptune.db.checkpoint_load` (with the hit/miss outcome as a field).
-pub(crate) fn load_checkpoint_traced(
-    db: &Db,
-    sig: u64,
-    seed: u64,
-) -> std::io::Result<Option<Checkpoint>> {
-    let mut span = gptune_trace::global().span("gptune.db.checkpoint_load");
-    let r = db.load_checkpoint(sig, seed);
-    match &r {
-        Ok(Some(c)) => {
-            span.add("hit", true);
-            span.add("iteration", c.iteration as u64);
-            span.add("points", c.points.len());
-        }
-        _ => span.add("hit", false),
-    }
-    r
-}
-
-/// Rehydrates the evaluation archive from a checkpoint.
-pub(crate) fn evals_from_checkpoint(ckpt: &Checkpoint) -> Evaluations {
-    Evaluations {
-        points: ckpt
-            .points
-            .iter()
-            .map(|(t, c)| (*t, db_to_config(c)))
-            .collect(),
-        outputs: ckpt.outputs.clone(),
-        failures: ckpt
-            .fails
-            .iter()
-            .map(|f| EvalFailure {
-                index: f.index,
-                kind: db_to_failure_kind(f.kind),
-                attempts: f.attempts as u32,
-                elapsed_secs: f.elapsed_secs,
-            })
-            .collect(),
-    }
-}
-
-/// A loaded checkpoint is only usable when it describes *this* run: same
-/// loop kind, same budget, and task indices within range. (Signature and
-/// seed already matched — they key the checkpoint file.)
-pub(crate) fn checkpoint_matches(
-    ckpt: &Checkpoint,
-    kind: CheckpointKind,
-    opts: &MlaOptions,
-    delta: usize,
-) -> bool {
-    ckpt.kind == kind
-        && ckpt.eps_total == opts.eps_total
-        && ckpt.points.iter().all(|(t, _)| *t < delta)
-        && ckpt.points.len() == ckpt.outputs.len()
-}
-
 /// Archived evaluations matching this problem's tasks, as
 /// `(task_idx, config, outputs)` triples ready to preload (the MLA warm
 /// start). Records with foreign tasks, wrong arity, or infeasible
@@ -442,6 +319,7 @@ pub fn history_from_db(db_path: &Path, problem: &TuningProblem) -> std::io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mla::EvalFailure;
     use gptune_space::{Param, Space};
 
     fn toy(name: &str) -> TuningProblem {
@@ -541,48 +419,6 @@ mod tests {
         assert_eq!(run_id(&o, 2), run_id(&o, 2));
         assert_ne!(run_id(&o, 2), run_id(&o, 3));
         assert_eq!(run_id(&o, 2), "seed9-eps30-d2");
-    }
-
-    #[test]
-    fn checkpoint_evals_roundtrip() {
-        let evals = Evaluations {
-            points: vec![
-                (0, vec![Value::Real(0.5), Value::Int(8)]),
-                (1, vec![Value::Real(0.75), Value::Int(16)]),
-            ],
-            outputs: vec![vec![1.0], vec![2.0]],
-            failures: vec![EvalFailure {
-                index: 1,
-                kind: FailureKind::TimedOut,
-                attempts: 2,
-                elapsed_secs: 0.4,
-            }],
-        };
-        let o = MlaOptions::default().with_seed(4).with_budget(10);
-        let c = checkpoint_from_run(
-            CheckpointKind::Mla,
-            0xabc,
-            &o,
-            &evals,
-            3,
-            7,
-            0,
-            &PhaseStats::default(),
-        );
-        assert!(checkpoint_matches(&c, CheckpointKind::Mla, &o, 2));
-        assert!(!checkpoint_matches(&c, CheckpointKind::MlaMo, &o, 2));
-        assert!(!checkpoint_matches(&c, CheckpointKind::Mla, &o, 1));
-        let other_budget = MlaOptions::default().with_seed(4).with_budget(12);
-        assert!(!checkpoint_matches(
-            &c,
-            CheckpointKind::Mla,
-            &other_budget,
-            2
-        ));
-        let back = evals_from_checkpoint(&c);
-        assert_eq!(back.points, evals.points);
-        assert_eq!(back.outputs, evals.outputs);
-        assert_eq!(back.failures, evals.failures);
     }
 
     #[test]

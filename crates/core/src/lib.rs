@@ -34,6 +34,7 @@ pub mod mla_mo;
 pub mod options;
 pub mod perfmodel;
 pub mod problem;
+mod run;
 pub mod runlog;
 pub mod session;
 pub mod tla;

@@ -15,10 +15,10 @@
 //! blocked-parallel Cholesky), and the search phase parallelizes over
 //! tasks.
 
-use crate::db_bridge;
 use crate::options::{Acquisition, MlaOptions, SearchMethod};
 use crate::perfmodel::{FeatureScaler, LinearPerfModel};
 use crate::problem::TuningProblem;
+use crate::run::{self, Driver, Outcome, Proposal, Run};
 use gptune_db::CheckpointKind;
 use gptune_gp::gp::{expected_improvement, lower_confidence_bound, probability_of_improvement};
 use gptune_gp::{IncrementalLcm, LcmFitOptions, LcmModel, Prediction};
@@ -301,38 +301,17 @@ pub(crate) fn evaluate_batch(
     (outputs, failures)
 }
 
-/// Failure set persisted by earlier runs, loaded for runs that read from
-/// the archive (warm starts and checkpointed runs) so known-crashing
-/// configurations are never re-executed. Fresh runs without a database
-/// skip nothing.
-// PANIC-SAFETY: an unreadable archive on a run that was explicitly asked
-// to use one is fatal by design (same policy as db_bridge::open_db).
-#[allow(clippy::panic)]
-pub(crate) fn load_known_failures(
-    db: &Option<gptune_db::Db>,
-    problem: &TuningProblem,
-    sig: u64,
-    opts: &MlaOptions,
-) -> Vec<(usize, Config, FailureKind)> {
-    if !(opts.warm_start_from_db || opts.checkpointing()) {
-        return Vec::new();
-    }
-    match db {
-        Some(db) => db_bridge::known_failures(db, problem, sig)
-            .unwrap_or_else(|e| panic!("gptune-db: cannot read failure records: {e}")),
-        None => Vec::new(),
-    }
-}
-
-/// Draws the initial per-task designs (sampling phase).
-pub(crate) fn initial_designs(
-    problem: &TuningProblem,
-    n_init: usize,
-    rng: &mut Rng,
-) -> Vec<(usize, Config)> {
+/// The MLA/MLA-MO initial design (sampling phase): a warm start from the
+/// archive when asked for, then a per-task LHS of
+/// [`MlaOptions::initial_samples`] configurations drawn from
+/// `Rng::new(seed)`.
+pub(crate) fn warm_started_lhs(run: &mut Run<'_>) -> Vec<(usize, Config)> {
+    run.warm_start();
+    let (problem, n_init) = (run.problem, run.opts.initial_samples());
+    let mut rng = Rng::new(run.opts.seed);
     let mut batch = Vec::with_capacity(n_init * problem.n_tasks());
     for task_idx in 0..problem.n_tasks() {
-        let samples = sampling::sample_space(&problem.tuning_space, n_init, rng, 200);
+        let samples = sampling::sample_space(&problem.tuning_space, n_init, &mut rng, 200);
         assert!(
             !samples.is_empty(),
             "no feasible configuration found for task {task_idx} — check constraints"
@@ -496,20 +475,58 @@ pub(crate) fn censor_failures(mut y: Vec<f64>) -> Vec<f64> {
     y
 }
 
+/// Best finite observed value of objective `s` on `task_idx`, on the
+/// model scale: the incumbent the acquisition improves on.
+pub(crate) fn model_incumbent(evals: &Evaluations, task_idx: usize, s: usize, log: bool) -> f64 {
+    evals
+        .points
+        .iter()
+        .zip(&evals.outputs)
+        .filter(|((t, _), o)| *t == task_idx && o[s].is_finite())
+        .map(|(_, o)| transform_objective(o[s], log))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Refits (or incrementally extends) `surrogate` on the current archive
+/// with LCM seed `seed`, bounded to [`MlaOptions::model_workers`] threads.
+pub(crate) fn refit(
+    surrogate: &mut IncrementalLcm,
+    inputs: &SurrogateInputs,
+    y: &[f64],
+    n_tasks: usize,
+    opts: &MlaOptions,
+    seed: u64,
+) {
+    let lcm_opts = LcmFitOptions {
+        seed,
+        ..opts.lcm.clone()
+    };
+    with_pool(opts.model_workers, || {
+        surrogate.update(&inputs.xs, &inputs.task_of, y, n_tasks, &lcm_opts)
+    });
+}
+
+/// The model of a surrogate that [`refit`] has updated.
+pub(crate) fn fitted(surrogate: &IncrementalLcm) -> &LcmModel {
+    // PANIC-SAFETY: IncrementalLcm::update always leaves a fitted model in
+    // place, and callers only ask after a refit.
+    #[allow(clippy::expect_used)]
+    surrogate.model().expect("surrogate refit before use")
+}
+
 /// One EI/PSO search for a single task. Returns a feasible, non-duplicate
 /// configuration.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn search_task(
     problem: &TuningProblem,
     model: &LcmModel,
     inputs: &SurrogateInputs,
     evals: &Evaluations,
     task_idx: usize,
-    y_best_model: f64,
     opts: &MlaOptions,
     rng: &mut Rng,
 ) -> Config {
     let beta = problem.beta();
+    let y_best_model = model_incumbent(evals, task_idx, 0, opts.log_objective);
 
     // Shared pieces of the acquisition: the model-input embedding of a
     // candidate (normalized coordinates plus optional enrichment features)
@@ -669,269 +686,65 @@ pub fn tune(problem: &TuningProblem, opts: &MlaOptions) -> MlaResult {
         "mla::tune is single-objective; γ = {} given",
         problem.n_objectives
     );
-    let timer = PhaseTimer::new();
-    let delta = problem.n_tasks();
-    let n_init = opts.initial_samples();
-    let db = db_bridge::open_db(opts);
-    let sig = db_bridge::problem_signature(problem);
-    let known_failed = load_known_failures(&db, problem, sig, opts);
-
-    // --- Resume: adopt a checkpoint that matches this exact run ---
-    let mut evals = Evaluations::new();
-    let mut iteration = 0usize;
-    let mut eps = 0usize;
-    let mut n_preloaded = 0usize;
-    let mut resumed = false;
-    if opts.checkpointing() {
-        // PANIC-SAFETY: MlaOptions::checkpointing() returns true only when
-        // db_path is set, and open_db opened a Db for every set db_path.
-        #[allow(clippy::expect_used)]
-        let db = db.as_ref().expect("checkpointing() implies db_path");
-        match db_bridge::load_checkpoint_traced(db, sig, opts.seed) {
-            Ok(Some(ckpt))
-                if db_bridge::checkpoint_matches(&ckpt, CheckpointKind::Mla, opts, delta) =>
-            {
-                evals = db_bridge::evals_from_checkpoint(&ckpt);
-                iteration = ckpt.iteration;
-                eps = ckpt.eps;
-                n_preloaded = ckpt.n_preloaded;
-                timer.restore(db_bridge::stats_from_db(&ckpt.stats));
-                resumed = true;
-            }
-            Ok(_) => {} // no checkpoint, or one from a different run shape
-            Err(e) => eprintln!("gptune-db: ignoring unreadable checkpoint: {e}"),
-        }
-    }
-
-    if !resumed {
-        // --- Warm start: preload matching archived evaluations (free
-        // observations for the surrogate; excluded from budget/results) ---
-        if opts.warm_start_from_db {
-            if let Some(db) = &db {
-                // PANIC-SAFETY: unreadable archive on an explicit
-                // warm-start request is fatal by design.
-                #[allow(clippy::panic)]
-                let pre = db_bridge::preload_from_db(db, problem, sig)
-                    .unwrap_or_else(|e| panic!("gptune-db: cannot read archive: {e}"));
-                for (t, cfg, out) in pre {
-                    if !evals.contains(t, &cfg) {
-                        evals.points.push((t, cfg));
-                        evals.outputs.push(out);
-                    }
-                }
-                n_preloaded = evals.points.len();
-            }
-        }
-
-        // --- Sampling phase ---
-        let mut rng = Rng::new(opts.seed);
-        let batch = initial_designs(problem, n_init, &mut rng);
-        let offset = evals.points.len();
-        let (outputs, fails) = timer.time(Phase::Objective, || {
-            evaluate_batch(problem, batch.clone(), opts, &timer, offset, &known_failed)
-        });
-        evals.points.extend(batch);
-        evals.outputs.extend(outputs);
-        evals.failures.extend(fails);
-        eps = (evals.points.len() - n_preloaded) / delta.max(1);
-
-        // Checkpoint the (expensive) initial design immediately: a run
-        // killed in its first iteration then resumes without re-evaluating.
-        if opts.checkpointing() {
-            // PANIC-SAFETY: checkpointing() implies db_path is set, and
-            // open_db opened a Db for every set db_path.
-            #[allow(clippy::expect_used)]
-            db_bridge::write_checkpoint(
-                db.as_ref().expect("checkpointing() implies db_path"),
-                CheckpointKind::Mla,
-                sig,
-                opts,
-                &evals,
-                iteration,
-                eps,
-                n_preloaded,
-                &timer.snapshot(),
-            );
-        }
-    }
-
-    // --- MLA iterations ---
-    let mut iters_this_process = 0usize;
-    let mut iteration_stats: Vec<IterationStat> = Vec::new();
-    let mut completed = true;
     // Persistent surrogate: under an incremental `opts.refit` schedule,
     // iterations between full refits extend the existing Cholesky factor
     // in O(n²) instead of re-optimizing hyperparameters from scratch.
-    let mut surrogate = IncrementalLcm::new(opts.refit);
-    while eps < opts.eps_total {
-        if opts
-            .stop_after_iterations
-            .is_some_and(|n| iters_this_process >= n)
-        {
-            completed = false;
-            break;
-        }
-        let iter_span = timer
-            .tracer()
-            .span("gptune.core.mla.iteration")
-            .with("iteration", iteration as u64)
-            .with("eps", eps as u64);
-        // Modeling phase.
-        let (inputs, y) = build_inputs(problem, &evals, 0, opts);
-        let lcm_opts = LcmFitOptions {
-            seed: opts.lcm.seed.wrapping_add(iteration as u64 * 7919),
-            ..opts.lcm.clone()
-        };
-        let (_refit_mode, modeling_wall) =
-            timer.time_iter(Phase::Modeling, iteration as u64, || {
-                with_pool(opts.model_workers, || {
-                    surrogate.update(&inputs.xs, &inputs.task_of, &y, delta, &lcm_opts)
-                })
-            });
-        // PANIC-SAFETY: update always leaves a fitted model in place.
-        #[allow(clippy::expect_used)]
-        let model = surrogate.model().expect("surrogate updated this iteration");
+    let mut driver = Mla {
+        surrogate: IncrementalLcm::new(opts.refit),
+    };
+    finalize(problem, run::execute(problem, opts, &mut driver))
+}
+
+/// Algorithm 1 as a [`Driver`]: one EI search per task per iteration.
+struct Mla {
+    surrogate: IncrementalLcm,
+}
+
+impl Driver for Mla {
+    const KIND: CheckpointKind = CheckpointKind::Mla;
+
+    fn initial_design(&mut self, run: &mut Run<'_>) -> Vec<(usize, Config)> {
+        warm_started_lhs(run)
+    }
+
+    fn propose(&mut self, run: &Run<'_>) -> Proposal {
+        let (problem, opts, evals) = (run.problem, run.opts, &run.evals);
+        let iteration = run.iteration as u64;
+        let delta = problem.n_tasks();
+        let (inputs, y) = build_inputs(problem, evals, 0, opts);
+        let ((), modeling_wall) = run.timer.time_iter(Phase::Modeling, iteration, || {
+            let seed = opts.lcm.seed.wrapping_add(iteration * 7919);
+            refit(&mut self.surrogate, &inputs, &y, delta, opts, seed)
+        });
+        let model = fitted(&self.surrogate);
 
         // Search phase: one new point per task, parallel over tasks.
-        let (new_points, search_wall): (Vec<(usize, Config)>, _) =
-            timer.time_iter(Phase::Search, iteration as u64, || {
-                let seeds: Vec<u64> = (0..delta)
-                    .map(|i| {
+        let tasks: Vec<usize> = (0..delta).collect();
+        let (batch, search_wall) = run.timer.time_iter(Phase::Search, iteration, || {
+            with_pool(opts.search_workers, || {
+                par::map(&tasks, |&task_idx| {
+                    let mut trng = Rng::new(
                         opts.seed
                             .wrapping_add(0x5bd1e995)
-                            .wrapping_mul(iteration as u64 + 1)
-                            .wrapping_add(i as u64 * 104729)
-                    })
-                    .collect();
-                let tasks: Vec<usize> = (0..delta).collect();
-                with_pool(opts.search_workers, || {
-                    par::map(&tasks, |&task_idx| {
-                        let mut trng = Rng::new(seeds[task_idx]);
-                        let y_best_model = evals
-                            .points
-                            .iter()
-                            .zip(&evals.outputs)
-                            .filter(|((t, _), o)| *t == task_idx && o[0].is_finite())
-                            .map(|(_, o)| transform_objective(o[0], opts.log_objective))
-                            .fold(f64::INFINITY, f64::min);
-                        let cfg = search_task(
-                            problem,
-                            model,
-                            &inputs,
-                            &evals,
-                            task_idx,
-                            y_best_model,
-                            opts,
-                            &mut trng,
-                        );
-                        (task_idx, cfg)
-                    })
+                            .wrapping_mul(iteration + 1)
+                            .wrapping_add(task_idx as u64 * 104729),
+                    );
+                    let cfg =
+                        search_task(problem, model, &inputs, evals, task_idx, opts, &mut trng);
+                    (task_idx, cfg)
                 })
-            });
-
-        // Evaluate the δ new points.
-        let offset = evals.points.len();
-        let (outputs, fails) = timer.time(Phase::Objective, || {
-            evaluate_batch(
-                problem,
-                new_points.clone(),
-                opts,
-                &timer,
-                offset,
-                &known_failed,
-            )
+            })
         });
-        evals.points.extend(new_points);
-        evals.outputs.extend(outputs);
-        evals.failures.extend(fails);
-        iteration_stats.push(IterationStat {
-            iteration,
-            n_evals: evals.points.len() - n_preloaded,
-            modeling_wall,
-            search_wall,
-            incumbent: incumbent_of(&evals, n_preloaded),
-        });
-        drop(iter_span);
-        eps += 1;
-        iteration += 1;
-        iters_this_process += 1;
-
-        if opts.checkpointing() && iteration.is_multiple_of(opts.checkpoint_every) {
-            // PANIC-SAFETY: checkpointing() implies db_path is set, and
-            // open_db opened a Db for every set db_path.
-            #[allow(clippy::expect_used)]
-            db_bridge::write_checkpoint(
-                db.as_ref().expect("checkpointing() implies db_path"),
-                CheckpointKind::Mla,
-                sig,
-                opts,
-                &evals,
-                iteration,
-                eps,
-                n_preloaded,
-                &timer.snapshot(),
-            );
-        }
+        (batch, modeling_wall, search_wall)
     }
-
-    // --- Archive / checkpoint the outcome ---
-    if let Some(db) = &db {
-        if completed {
-            let prov = db_bridge::provenance(opts, delta);
-            // PANIC-SAFETY: losing the final archive write would silently
-            // discard the run's results; fail loudly instead.
-            #[allow(clippy::panic)]
-            db_bridge::archive_run(
-                db,
-                problem,
-                sig,
-                &evals,
-                n_preloaded,
-                &prov,
-                &timer.snapshot(),
-            )
-            .unwrap_or_else(|e| panic!("gptune-db: cannot archive run: {e}"));
-            if opts.checkpointing() {
-                let _ = db.clear_checkpoint(sig, opts.seed);
-            }
-        } else if opts.checkpointing() {
-            // Preempted: persist the final in-flight state for the resumer.
-            db_bridge::write_checkpoint(
-                db,
-                CheckpointKind::Mla,
-                sig,
-                opts,
-                &evals,
-                iteration,
-                eps,
-                n_preloaded,
-                &timer.snapshot(),
-            );
-        }
-    }
-
-    finalize(
-        problem,
-        evals,
-        timer,
-        iteration_stats,
-        n_preloaded,
-        completed,
-    )
 }
 
 /// Assembles per-task results from the evaluation archive. The first
 /// `n_preloaded` evaluations are archived warm-start records, not this
 /// run's work — they informed the surrogate but are excluded from the
 /// reported samples/best so budgeted runs stay comparable.
-pub(crate) fn finalize(
-    problem: &TuningProblem,
-    evals: Evaluations,
-    timer: PhaseTimer,
-    iterations: Vec<IterationStat>,
-    n_preloaded: usize,
-    completed: bool,
-) -> MlaResult {
+fn finalize(problem: &TuningProblem, run: Outcome) -> MlaResult {
+    let (evals, n_preloaded) = (&run.evals, run.n_preloaded);
     let per_task = (0..problem.n_tasks())
         .map(|task_idx| {
             let mut samples = Vec::new();
@@ -958,9 +771,9 @@ pub(crate) fn finalize(
         .collect();
     MlaResult {
         per_task,
-        stats: timer.snapshot(),
-        iterations,
-        completed,
+        stats: run.timer.snapshot(),
+        iterations: run.iterations,
+        completed: run.completed,
     }
 }
 

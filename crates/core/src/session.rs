@@ -12,13 +12,17 @@
 //!
 //! Suggestions are deterministic in `(seed, suggestion counter)` given the
 //! same report history, which is what lets a serve backend replay a
-//! journal and reconstruct identical session state.
+//! journal and reconstruct identical session state. As in the batch
+//! drivers, refits run on at most [`MlaOptions::model_workers`] threads and
+//! acquisition searches on at most [`MlaOptions::search_workers`]; the
+//! widths change timings only, never a suggestion.
 
-use crate::mla::{build_inputs, search_task, transform_objective, Evaluations, SurrogateInputs};
+use crate::mla::{build_inputs, refit, search_task, Evaluations, SurrogateInputs};
 use crate::options::MlaOptions;
 use crate::problem::TuningProblem;
-use gptune_gp::{IncrementalLcm, LcmFitOptions, ModelState};
+use gptune_gp::{IncrementalLcm, ModelState};
 use gptune_la::ord::feq;
+use gptune_la::par::with_pool;
 use gptune_rng::Rng;
 use gptune_space::{sampling, Config};
 
@@ -152,15 +156,16 @@ impl TunerSession {
             let (inputs, y) = build_inputs(&s.problem, &s.evals, 0, &s.opts);
             let m = state.y.len();
             if m <= inputs.xs.len()
-                && s.surrogate
-                    .restore(
+                && with_pool(s.opts.model_workers, || {
+                    s.surrogate.restore(
                         &inputs.xs[..m],
                         &inputs.task_of[..m],
                         s.problem.n_tasks(),
                         &s.opts.lcm,
                         state,
                     )
-                    .is_ok()
+                })
+                .is_ok()
             {
                 // The restored session is clean iff the surrogate absorbed
                 // every replayed output — exactly the live session's state
@@ -255,24 +260,17 @@ impl TunerSession {
         if n_finite >= 2 {
             self.refit_if_dirty();
             if let (Some(model), Some(inputs)) = (self.surrogate.model(), self.inputs.as_ref()) {
-                let y_best_model = self
-                    .evals
-                    .points
-                    .iter()
-                    .zip(&self.evals.outputs)
-                    .filter(|((t, _), o)| *t == task_idx && o[0].is_finite())
-                    .map(|(_, o)| transform_objective(o[0], self.opts.log_objective))
-                    .fold(f64::INFINITY, f64::min);
-                let cfg = search_task(
-                    &self.problem,
-                    model,
-                    inputs,
-                    &self.evals,
-                    task_idx,
-                    y_best_model,
-                    &self.opts,
-                    &mut rng,
-                );
+                let cfg = with_pool(self.opts.search_workers, || {
+                    search_task(
+                        &self.problem,
+                        model,
+                        inputs,
+                        &self.evals,
+                        task_idx,
+                        &self.opts,
+                        &mut rng,
+                    )
+                });
                 if !self.evals.contains(task_idx, &cfg) {
                     return Some(cfg);
                 }
@@ -369,17 +367,9 @@ impl TunerSession {
         }
         let _span = self.tag_rid(gptune_trace::global().span("gptune.core.session.refit"));
         let (inputs, y) = build_inputs(&self.problem, &self.evals, 0, &self.opts);
-        let lcm_opts = LcmFitOptions {
-            seed: self.opts.lcm.seed.wrapping_add(self.n_refits * 7919),
-            ..self.opts.lcm.clone()
-        };
-        self.surrogate.update(
-            &inputs.xs,
-            &inputs.task_of,
-            &y,
-            self.problem.n_tasks(),
-            &lcm_opts,
-        );
+        let seed = self.opts.lcm.seed.wrapping_add(self.n_refits * 7919);
+        let delta = self.problem.n_tasks();
+        refit(&mut self.surrogate, &inputs, &y, delta, &self.opts, seed);
         self.inputs = Some(inputs);
         self.dirty = false;
         self.n_refits += 1;
@@ -469,6 +459,27 @@ mod tests {
             seen
         };
         assert_eq!(run(), run(), "identical replay → identical suggestions");
+    }
+
+    #[test]
+    fn worker_widths_leave_the_suggestion_stream_unchanged() {
+        let p = toy(2);
+        let stream = |workers: usize| {
+            let mut o = fast_opts();
+            o.model_workers = workers;
+            o.search_workers = workers;
+            let mut s = TunerSession::new(p.clone(), o);
+            let mut seen = Vec::new();
+            for i in 0..10 {
+                let t = i % 2;
+                let cfg = s.suggest(t).unwrap();
+                let y = measure(&p, t, &cfg);
+                s.report(t, cfg.clone(), y).unwrap();
+                seen.push((t, cfg));
+            }
+            seen
+        };
+        assert_eq!(stream(1), stream(2));
     }
 
     #[test]

@@ -13,19 +13,16 @@
 //!   multitask surrogate transfers the sources' structure to the target
 //!   from the very first iteration.
 
-use crate::db_bridge;
 use crate::history::History;
-use crate::mla::{
-    build_inputs, evaluate_batch, load_known_failures, search_task, transform_objective,
-    Evaluations, TaskResult,
-};
+use crate::mla::{build_inputs, fitted, refit, search_task, TaskResult};
 use crate::options::MlaOptions;
 use crate::problem::TuningProblem;
+use crate::run::{self, Driver, Proposal, Run};
 use gptune_db::CheckpointKind;
-use gptune_gp::{IncrementalLcm, LcmFitOptions};
+use gptune_gp::IncrementalLcm;
 use gptune_la::par::with_pool;
 use gptune_rng::Rng;
-use gptune_runtime::{Phase, PhaseTimer};
+use gptune_runtime::Phase;
 use gptune_space::{sampling, Config};
 use std::path::Path;
 
@@ -132,247 +129,22 @@ pub fn transfer_tune(
 ) -> (TaskResult, gptune_runtime::PhaseStats) {
     assert_eq!(problem.n_objectives, 1, "TLA is single-objective");
     assert!(target_idx < problem.n_tasks());
-    let timer = PhaseTimer::new();
-    let delta = problem.n_tasks();
-    let db = db_bridge::open_db(opts);
-    let sig = db_bridge::problem_signature(problem);
-    let known_failed = load_known_failures(&db, problem, sig, opts);
+    let mut driver = Tla {
+        history,
+        target: target_idx,
+        surrogate: IncrementalLcm::new(opts.refit),
+    };
+    let run = run::execute(problem, opts, &mut driver);
 
-    // --- Resume: adopt a checkpoint that matches this exact run ---
-    let mut evals = Evaluations::new();
-    let mut iteration = 0usize;
-    let mut n_preloaded = 0usize;
-    let mut resumed = false;
-    if opts.checkpointing() {
-        // PANIC-SAFETY: checkpointing() returns true only when db_path is
-        // set, and open_db opened a Db for every set db_path.
-        #[allow(clippy::expect_used)]
-        let db = db.as_ref().expect("checkpointing() implies db_path");
-        match db_bridge::load_checkpoint_traced(db, sig, opts.seed) {
-            Ok(Some(ckpt))
-                if db_bridge::checkpoint_matches(&ckpt, CheckpointKind::Tla, opts, delta) =>
-            {
-                evals = db_bridge::evals_from_checkpoint(&ckpt);
-                iteration = ckpt.iteration;
-                n_preloaded = ckpt.n_preloaded;
-                timer.restore(db_bridge::stats_from_db(&ckpt.stats));
-                resumed = true;
-            }
-            Ok(_) => {} // no checkpoint, or one from a different run shape
-            Err(e) => eprintln!("gptune-db: ignoring unreadable checkpoint: {e}"),
-        }
-    }
-
-    if !resumed {
-        // Preload archived records whose task exactly matches a problem
-        // task. These are free observations for the surrogate; they are
-        // stored ahead of the fresh samples and excluded from the budget.
-        for record in &history.records {
-            if let Some(idx) = problem.tasks.iter().position(|t| t == &record.task) {
-                if problem.tuning_space.is_valid(&record.config)
-                    && !evals.contains(idx, &record.config)
-                {
-                    evals.points.push((idx, record.config.clone()));
-                    evals.outputs.push(record.outputs.clone());
-                }
-            }
-        }
-        n_preloaded = evals.points.len();
-
-        // Initial fresh samples on the target: the TLA-1 prediction first,
-        // then an LHS design.
-        let mut rng = Rng::new(opts.seed ^ TLA_SEED_TAG);
-        let n_init = opts.initial_samples().min(opts.eps_total);
-        let mut batch: Vec<(usize, Config)> = Vec::new();
-        if let Some(cfg) = predict_transfer_config(problem, history, target_idx) {
-            if !evals.contains(target_idx, &cfg) {
-                batch.push((target_idx, cfg));
-            }
-        }
-        for cfg in sampling::sample_space(&problem.tuning_space, n_init, &mut rng, 200) {
-            if batch.len() >= n_init {
-                break;
-            }
-            if !evals.contains(target_idx, &cfg) && !batch.iter().any(|(_, c)| c == &cfg) {
-                batch.push((target_idx, cfg));
-            }
-        }
-        let offset = evals.points.len();
-        let (outputs, fails) = timer.time(Phase::Objective, || {
-            evaluate_batch(problem, batch.clone(), opts, &timer, offset, &known_failed)
-        });
-        evals.points.extend(batch);
-        evals.outputs.extend(outputs);
-        evals.failures.extend(fails);
-
-        // Checkpoint the (expensive) initial design immediately: a run
-        // killed in its first iteration resumes without re-evaluating.
-        if opts.checkpointing() {
-            // PANIC-SAFETY: checkpointing() implies db_path is set, and
-            // open_db opened a Db for every set db_path.
-            #[allow(clippy::expect_used)]
-            db_bridge::write_checkpoint(
-                db.as_ref().expect("checkpointing() implies db_path"),
-                CheckpointKind::Tla,
-                sig,
-                opts,
-                &evals,
-                iteration,
-                evals.points.len() - n_preloaded,
-                n_preloaded,
-                &timer.snapshot(),
-            );
-        }
-    }
-
-    // Fresh evaluations (this run's work) reconstructed from the archive
-    // — identical whether the archive was just built or resumed.
-    let mut fresh: Vec<(Config, f64)> = evals
+    // The fresh evaluations (this run's work) follow the preloaded records.
+    let fresh: Vec<(Config, f64)> = run
+        .evals
         .points
         .iter()
-        .zip(&evals.outputs)
-        .skip(n_preloaded)
+        .zip(&run.evals.outputs)
+        .skip(run.n_preloaded)
         .map(|((_, c), o)| (c.clone(), o.first().copied().unwrap_or(f64::INFINITY)))
         .collect();
-
-    // MLA iterations on the target only.
-    let mut iters_this_process = 0usize;
-    let mut completed = true;
-    // Persistent surrogate; see [`MlaOptions::refit`].
-    let mut surrogate = IncrementalLcm::new(opts.refit);
-    while fresh.len() < opts.eps_total {
-        if opts
-            .stop_after_iterations
-            .is_some_and(|n| iters_this_process >= n)
-        {
-            completed = false;
-            break;
-        }
-        let iter_span = timer
-            .tracer()
-            .span("gptune.core.tla.iteration")
-            .with("iteration", iteration as u64)
-            .with("target", target_idx as u64);
-        // Post-sampling randomness is derived from (seed, iteration) so a
-        // resumed run replays the identical stream.
-        let mut rng = Rng::new(
-            (opts.seed ^ TLA_SEED_TAG)
-                .wrapping_add(0x5bd1e995)
-                .wrapping_mul(iteration as u64 + 1)
-                .wrapping_add(target_idx as u64 * 104_729),
-        );
-        let (inputs, y) = build_inputs(problem, &evals, 0, opts);
-        let lcm_opts = LcmFitOptions {
-            seed: opts.lcm.seed.wrapping_add(iteration as u64 * 104_729),
-            ..opts.lcm.clone()
-        };
-        timer.time_iter(Phase::Modeling, iteration as u64, || {
-            with_pool(opts.model_workers, || {
-                surrogate.update(&inputs.xs, &inputs.task_of, &y, delta, &lcm_opts)
-            })
-        });
-        // PANIC-SAFETY: update always leaves a fitted model in place.
-        #[allow(clippy::expect_used)]
-        let model = surrogate.model().expect("surrogate updated this iteration");
-
-        let y_best_model = evals
-            .points
-            .iter()
-            .zip(&evals.outputs)
-            .filter(|((t, _), o)| *t == target_idx && o[0].is_finite())
-            .map(|(_, o)| transform_objective(o[0], opts.log_objective))
-            .fold(f64::INFINITY, f64::min);
-
-        let cfg = timer
-            .time_iter(Phase::Search, iteration as u64, || {
-                search_task(
-                    problem,
-                    model,
-                    &inputs,
-                    &evals,
-                    target_idx,
-                    y_best_model,
-                    opts,
-                    &mut rng,
-                )
-            })
-            .0;
-        let offset = evals.points.len();
-        let (out, fails) = timer.time(Phase::Objective, || {
-            evaluate_batch(
-                problem,
-                vec![(target_idx, cfg.clone())],
-                opts,
-                &timer,
-                offset,
-                &known_failed,
-            )
-        });
-        // evaluate_batch returns one output row per submitted point; a
-        // missing or empty row is treated as a failed measurement.
-        let row = out.into_iter().next().unwrap_or_default();
-        fresh.push((cfg.clone(), row.first().copied().unwrap_or(f64::INFINITY)));
-        evals.points.push((target_idx, cfg));
-        evals.outputs.push(row);
-        evals.failures.extend(fails);
-        drop(iter_span);
-        iteration += 1;
-        iters_this_process += 1;
-
-        if opts.checkpointing() && iteration.is_multiple_of(opts.checkpoint_every) {
-            // PANIC-SAFETY: checkpointing() implies db_path is set, and
-            // open_db opened a Db for every set db_path.
-            #[allow(clippy::expect_used)]
-            db_bridge::write_checkpoint(
-                db.as_ref().expect("checkpointing() implies db_path"),
-                CheckpointKind::Tla,
-                sig,
-                opts,
-                &evals,
-                iteration,
-                fresh.len(),
-                n_preloaded,
-                &timer.snapshot(),
-            );
-        }
-    }
-
-    // --- Archive / checkpoint the outcome ---
-    if let Some(db) = &db {
-        if completed {
-            let prov = db_bridge::provenance(opts, delta);
-            // PANIC-SAFETY: losing the final archive write would silently
-            // discard the run's results; fail loudly instead.
-            #[allow(clippy::panic)]
-            db_bridge::archive_run(
-                db,
-                problem,
-                sig,
-                &evals,
-                n_preloaded,
-                &prov,
-                &timer.snapshot(),
-            )
-            .unwrap_or_else(|e| panic!("gptune-db: cannot archive run: {e}"));
-            if opts.checkpointing() {
-                let _ = db.clear_checkpoint(sig, opts.seed);
-            }
-        } else if opts.checkpointing() {
-            // Preempted: persist the final in-flight state for the resumer.
-            db_bridge::write_checkpoint(
-                db,
-                CheckpointKind::Tla,
-                sig,
-                opts,
-                &evals,
-                iteration,
-                fresh.len(),
-                n_preloaded,
-                &timer.snapshot(),
-            );
-        }
-    }
-
     let (best_config, best_value) = fresh
         .iter()
         .filter(|(_, y)| y.is_finite())
@@ -395,8 +167,95 @@ pub fn transfer_tune(
             best_value,
             samples: fresh,
         },
-        timer.snapshot(),
+        run.timer.snapshot(),
     )
+}
+
+/// TLA-2 as a [`Driver`]: the MLA loop on the target task only, over a
+/// joint LCM that also holds the archived source records.
+struct Tla<'h> {
+    history: &'h History,
+    target: usize,
+    /// Persistent surrogate; see [`MlaOptions::refit`].
+    surrogate: IncrementalLcm,
+}
+
+impl Driver for Tla<'_> {
+    const KIND: CheckpointKind = CheckpointKind::Tla;
+
+    fn target(&self) -> Option<usize> {
+        Some(self.target)
+    }
+
+    fn initial_design(&mut self, run: &mut Run<'_>) -> Vec<(usize, Config)> {
+        let (problem, opts, evals) = (run.problem, run.opts, &mut run.evals);
+        // Preload archived records whose task exactly matches a problem
+        // task. These are free observations for the surrogate; they are
+        // stored ahead of the fresh samples and excluded from the budget.
+        for record in &self.history.records {
+            if let Some(idx) = problem.tasks.iter().position(|t| t == &record.task) {
+                if problem.tuning_space.is_valid(&record.config)
+                    && !evals.contains(idx, &record.config)
+                {
+                    evals.points.push((idx, record.config.clone()));
+                    evals.outputs.push(record.outputs.clone());
+                }
+            }
+        }
+        run.n_preloaded = evals.points.len();
+
+        // Initial fresh samples on the target: the TLA-1 prediction first,
+        // then an LHS design.
+        let mut rng = Rng::new(opts.seed ^ TLA_SEED_TAG);
+        let n_init = opts.initial_samples().min(opts.eps_total);
+        let mut batch: Vec<(usize, Config)> = Vec::new();
+        if let Some(cfg) = predict_transfer_config(problem, self.history, self.target) {
+            if !evals.contains(self.target, &cfg) {
+                batch.push((self.target, cfg));
+            }
+        }
+        for cfg in sampling::sample_space(&problem.tuning_space, n_init, &mut rng, 200) {
+            if batch.len() >= n_init {
+                break;
+            }
+            if !evals.contains(self.target, &cfg) && !batch.iter().any(|(_, c)| c == &cfg) {
+                batch.push((self.target, cfg));
+            }
+        }
+        batch
+    }
+
+    fn propose(&mut self, run: &Run<'_>) -> Proposal {
+        let (problem, opts, evals) = (run.problem, run.opts, &run.evals);
+        let iteration = run.iteration as u64;
+        // Post-sampling randomness is derived from (seed, iteration) so a
+        // resumed run replays the identical stream.
+        let mut rng = Rng::new(
+            (opts.seed ^ TLA_SEED_TAG)
+                .wrapping_add(0x5bd1e995)
+                .wrapping_mul(iteration + 1)
+                .wrapping_add(self.target as u64 * 104_729),
+        );
+        let (inputs, y) = build_inputs(problem, evals, 0, opts);
+        let ((), modeling_wall) = run.timer.time_iter(Phase::Modeling, iteration, || {
+            let seed = opts.lcm.seed.wrapping_add(iteration * 104_729);
+            refit(
+                &mut self.surrogate,
+                &inputs,
+                &y,
+                problem.n_tasks(),
+                opts,
+                seed,
+            )
+        });
+        let model = fitted(&self.surrogate);
+        let (cfg, search_wall) = run.timer.time_iter(Phase::Search, iteration, || {
+            with_pool(opts.search_workers, || {
+                search_task(problem, model, &inputs, evals, self.target, opts, &mut rng)
+            })
+        });
+        (vec![(self.target, cfg)], modeling_wall, search_wall)
+    }
 }
 
 #[cfg(test)]

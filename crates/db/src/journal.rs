@@ -333,7 +333,7 @@ mod tests {
         // Simulate a crash mid-append: half of a third record, no newline.
         let torn = rec(3, 3.0).to_line();
         let mut bytes = fs::read(&p).unwrap();
-        bytes.extend_from_slice(torn[..torn.len() / 2].as_bytes());
+        bytes.extend_from_slice(&torn.as_bytes()[..torn.len() / 2]);
         fs::write(&p, &bytes).unwrap();
         let (entries, report) = load(&p).unwrap();
         assert_eq!(entries.len(), 2, "intact records must survive");
@@ -437,7 +437,7 @@ mod tests {
         // Torn tail to be healed away.
         let torn = rec(9, 9.0).to_line();
         let mut bytes = fs::read(&p).unwrap();
-        bytes.extend_from_slice(torn[..10].as_bytes());
+        bytes.extend_from_slice(&torn.as_bytes()[..10]);
         fs::write(&p, &bytes).unwrap();
         let (kept, dropped) = compact(&p, &lock).unwrap();
         assert_eq!(kept, 2);

@@ -168,6 +168,7 @@ const PANIC_FREE_FILES: &[&str] = &[
     "crates/core/src/mla_mo.rs",
     "crates/core/src/tla.rs",
     "crates/core/src/db_bridge.rs",
+    "crates/core/src/run.rs",
 ];
 
 /// Crates exempt from the panic tier entirely: the lint tool itself (a

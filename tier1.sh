@@ -15,6 +15,10 @@ fi
 
 cargo build --release
 cargo test -q
+# Core gate: the root package's tests do not run gptune-core's own unit
+# and integration tests (driver golden digests, resume at every prefix,
+# TLA checkpoint/resume, session restore, censoring).
+cargo test -q -p gptune-core
 # Chaos gate: MLA under injected crashes/hangs/transients must complete,
 # resume deterministically, and skip journaled crashers.
 cargo test -q --test chaos

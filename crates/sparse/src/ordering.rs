@@ -8,7 +8,8 @@
 //! quality is close, and both are far ahead of natural order.
 
 use crate::pattern::SparsePattern;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Identity permutation (SuperLU's `NATURAL`).
 pub fn natural_order(n: usize) -> Vec<usize> {
@@ -18,32 +19,35 @@ pub fn natural_order(n: usize) -> Vec<usize> {
 /// Reverse Cuthill–McKee: BFS from a pseudo-peripheral vertex, visiting
 /// neighbors by increasing degree, then reverse — a classical
 /// bandwidth/profile reducer.
+///
+/// Each connected component starts from its unvisited vertex of minimum
+/// degree (lowest index on ties), found by a cursor over the vertices
+/// sorted once by `(degree, index)`. Cost is `O(n log n + nnz)` however
+/// many components the pattern has.
 pub fn reverse_cuthill_mckee(pattern: &SparsePattern) -> Vec<usize> {
     let n = pattern.n();
+    let degree = |v: usize| pattern.neighbors(v).len();
     let mut order = Vec::with_capacity(n);
     let mut visited = vec![false; n];
+    let mut by_degree: Vec<usize> = (0..n).collect();
+    by_degree.sort_by_key(|&v| degree(v));
+    let mut level = vec![usize::MAX; n];
+    let mut queue = VecDeque::new();
+    let mut next = Vec::new();
 
-    // Handle disconnected graphs: restart from the unvisited vertex of
-    // minimum degree.
-    while order.len() < n {
-        let start = (0..n)
-            .filter(|&v| !visited[v])
-            .min_by_key(|&v| pattern.neighbors(v).len())
-            .expect("unvisited vertex exists");
-        let root = pseudo_peripheral(pattern, start, &visited);
-        let mut queue = VecDeque::new();
+    for &start in &by_degree {
+        if visited[start] {
+            continue;
+        }
+        let root = pseudo_peripheral(pattern, start, &visited, &mut level);
         visited[root] = true;
         queue.push_back(root);
         while let Some(v) = queue.pop_front() {
             order.push(v);
-            let mut next: Vec<usize> = pattern
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&u| !visited[u])
-                .collect();
-            next.sort_by_key(|&u| pattern.neighbors(u).len());
-            for u in next {
+            next.clear();
+            next.extend(pattern.neighbors(v).iter().filter(|&&u| !visited[u]));
+            next.sort_by_key(|&u| degree(u));
+            for &u in &next {
                 visited[u] = true;
                 queue.push_back(u);
             }
@@ -54,33 +58,46 @@ pub fn reverse_cuthill_mckee(pattern: &SparsePattern) -> Vec<usize> {
 }
 
 /// Finds an approximate pseudo-peripheral vertex by repeated BFS to the
-/// farthest level.
-fn pseudo_peripheral(pattern: &SparsePattern, start: usize, global_visited: &[bool]) -> usize {
-    let n = pattern.n();
+/// farthest level. `level` must be all `usize::MAX` on entry and is left
+/// so; only the entries a BFS reaches are written and reset.
+fn pseudo_peripheral(
+    pattern: &SparsePattern,
+    start: usize,
+    global_visited: &[bool],
+    level: &mut [usize],
+) -> usize {
     let mut current = start;
     let mut last_ecc = 0usize;
+    // BFS queue as a vector: `reached[head..]` is the frontier and
+    // `reached` as a whole the entries of `level` to reset.
+    let mut reached = Vec::new();
     for _ in 0..4 {
         // BFS levels from `current`, restricted to the unvisited component.
-        let mut level = vec![usize::MAX; n];
         level[current] = 0;
-        let mut queue = VecDeque::new();
-        queue.push_back(current);
+        reached.clear();
+        reached.push(current);
         let mut far = current;
-        while let Some(v) = queue.pop_front() {
+        let mut head = 0;
+        while let Some(&v) = reached.get(head) {
+            head += 1;
             for &u in pattern.neighbors(v) {
                 if !global_visited[u] && level[u] == usize::MAX {
                     level[u] = level[v] + 1;
                     if level[u] > level[far] {
                         far = u;
                     }
-                    queue.push_back(u);
+                    reached.push(u);
                 }
             }
         }
-        if level[far] <= last_ecc {
+        let ecc = level[far];
+        for &v in &reached {
+            level[v] = usize::MAX;
+        }
+        if ecc <= last_ecc {
             break;
         }
-        last_ecc = level[far];
+        last_ecc = ecc;
         current = far;
     }
     current
@@ -88,40 +105,70 @@ fn pseudo_peripheral(pattern: &SparsePattern, start: usize, global_visited: &[bo
 
 /// Greedy minimum-degree ordering with explicit clique formation.
 ///
-/// At each step the vertex of minimum current degree is eliminated and its
-/// neighborhood turned into a clique (the structural effect of Gaussian
-/// elimination). This is the textbook algorithm behind MMD/AMD; explicit
-/// cliques make it `O(fill)` memory — fine for the fill-reducing regimes
-/// it produces, which is exactly where it gets used.
+/// At each step the non-eliminated vertex of minimum current degree in
+/// the elimination graph is eliminated, the lowest index winning ties,
+/// and its neighborhood turned into a clique (the structural effect of
+/// Gaussian elimination). This is the textbook algorithm behind MMD/AMD.
+///
+/// The elimination graph is one dense bit row of `⌈n/64⌉` words per
+/// vertex, `n·⌈n/64⌉·8` bytes in all (83 KB at `n = 800`, 3.2 MB at
+/// `n = 5041`). Eliminating `v` ORs its row into each neighbor's row and
+/// recounts that neighbor's degree in the same pass, so a step costs
+/// `deg(v)·⌈n/64⌉` word operations. The minimum comes from a heap of
+/// `(degree, index)` entries with lazy deletion: an entry is pushed
+/// whenever a degree changes, and popped entries of eliminated vertices
+/// or stale degrees are skipped.
 pub fn minimum_degree(pattern: &SparsePattern) -> Vec<usize> {
     let n = pattern.n();
-    let mut adj: Vec<std::collections::BTreeSet<usize>> = (0..n)
-        .map(|i| pattern.neighbors(i).iter().copied().collect())
+    let words = n.div_ceil(64);
+    let mut rows = vec![0u64; n * words];
+    let mut degree: Vec<usize> = (0..n).map(|v| pattern.neighbors(v).len()).collect();
+    for (v, row) in rows.chunks_exact_mut(words.max(1)).enumerate() {
+        for &u in pattern.neighbors(v) {
+            row[u / 64] |= 1 << (u % 64);
+        }
+    }
+    let mut heap: BinaryHeap<Reverse<(usize, usize)>> = degree
+        .iter()
+        .enumerate()
+        .map(|(v, &d)| Reverse((d, v)))
         .collect();
     let mut eliminated = vec![false; n];
     let mut order = Vec::with_capacity(n);
+    let mut pivot = vec![0u64; words];
+    let mut neigh = Vec::new();
 
-    // Degree bucket structure would be faster; a linear scan per step is
-    // O(n²) bookkeeping, acceptable for the symbolic-calibration sizes.
-    for _ in 0..n {
-        let v = (0..n)
-            .filter(|&v| !eliminated[v])
-            .min_by_key(|&v| adj[v].len())
-            .expect("vertex remains");
+    while let Some(Reverse((d, v))) = heap.pop() {
+        if eliminated[v] || d != degree[v] {
+            continue;
+        }
         order.push(v);
         eliminated[v] = true;
-        let neigh: Vec<usize> = adj[v].iter().copied().collect();
-        // Form the clique among v's remaining neighbors.
-        for (a_idx, &a) in neigh.iter().enumerate() {
-            adj[a].remove(&v);
-            for &b in &neigh[a_idx + 1..] {
-                if a != b {
-                    adj[a].insert(b);
-                    adj[b].insert(a);
-                }
+        pivot.copy_from_slice(&rows[v * words..(v + 1) * words]);
+        neigh.clear();
+        for (w, mut bits) in pivot.iter().copied().enumerate() {
+            while bits != 0 {
+                neigh.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
             }
         }
-        adj[v].clear();
+        // Row `v` holds only non-eliminated vertices and never `v`, so
+        // after the OR row `a` does too, once `a` itself is cleared.
+        for &a in &neigh {
+            let row = &mut rows[a * words..(a + 1) * words];
+            row[v / 64] &= !(1 << (v % 64));
+            let mut count = 0;
+            for (x, &p) in row.iter_mut().zip(&pivot) {
+                *x |= p;
+                count += x.count_ones() as usize;
+            }
+            row[a / 64] &= !(1 << (a % 64));
+            count -= 1;
+            if count != degree[a] {
+                degree[a] = count;
+                heap.push(Reverse((count, a)));
+            }
+        }
     }
     order
 }

@@ -19,6 +19,12 @@ cargo test -q
 # and integration tests (driver golden digests, resume at every prefix,
 # TLA checkpoint/resume, session restore, censoring).
 cargo test -q -p gptune-core
+# Sparse and apps gates: nor does it run gptune-sparse's tests (the fast
+# minimum-degree and RCM orderings must return exactly the permutations of
+# their test-only reference forms) or gptune-apps' (simulators and the
+# golden digest of the SuperLU symbolic fill table).
+cargo test -q --release -p gptune-sparse
+cargo test -q -p gptune-apps
 # Chaos gate: MLA under injected crashes/hangs/transients must complete,
 # resume deterministically, and skip journaled crashers.
 cargo test -q --test chaos

@@ -11,10 +11,25 @@
 //! Checkpoints are snapshots: written atomically (temp + rename), loaded
 //! strictly (a checkpoint that fails to parse is reported, not silently
 //! truncated — unlike journals, half a checkpoint is useless).
+//!
+//! A warm-started run's checkpoint is mostly its preloaded archive rows
+//! and is rewritten after every iteration, so both directions skip the
+//! [`Json`] tree for the bulk of the document. The writer appends
+//! straight into one presized `String` (only the small `stats` object
+//! goes through a tree); the reader pulls `points` and `outputs` through
+//! a `json::Cursor` and parses the other top-level keys as small
+//! `Json` values. The bytes on disk and the accepted documents are those
+//! of the whole-tree codec: keys in any order, unknown keys ignored, the
+//! first of duplicated keys wins, `r` beats `i` beats `c` in a value
+//! object. `tests/codec_equivalence.rs` pins both directions to tree
+//! oracles, with a seeded differential fuzz for the reader.
 
 use crate::fsio;
-use crate::json::{self, Json};
-use crate::record::{DbValue, FailKind, RunStats};
+use crate::json::{self, Cursor, Json, ParseError};
+use crate::record::{
+    write_f64s, write_values, DbValue, FailKind, RunStats, FORMAT_VERSION, VALUE_BYTES,
+};
+use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
@@ -95,58 +110,87 @@ pub struct CkptFail {
 impl Checkpoint {
     /// Serializes to pretty-stable single-line JSON.
     pub fn to_json_string(&self) -> String {
-        let points = Json::Arr(
-            self.points
-                .iter()
-                .map(|(t, cfg)| {
-                    Json::Arr(vec![
-                        Json::Int(*t as i64),
-                        Json::Arr(cfg.iter().map(dbvalue_to_json).collect()),
-                    ])
-                })
-                .collect(),
+        let values: usize = self.points.iter().map(|(_, cfg)| cfg.len() + 1).sum();
+        let outputs: usize = self.outputs.iter().map(|o| o.len() + 1).sum();
+        let mut out =
+            String::with_capacity(512 + VALUE_BYTES * (values + outputs + 2 * self.fails.len()));
+        let _ = write!(
+            out,
+            "{{\"v\":{},\"kind\":\"{}\",\"sig\":\"{:016x}\",\"seed\":\"{}\",\"eps_total\":{},\
+             \"iteration\":{},\"eps\":{},\"n_preloaded\":{},\"points\":[",
+            FORMAT_VERSION,
+            self.kind.as_str(),
+            self.sig,
+            self.seed,
+            self.eps_total as i64,
+            self.iteration as i64,
+            self.eps as i64,
+            self.n_preloaded as i64,
         );
-        let outputs = Json::Arr(
-            self.outputs
-                .iter()
-                .map(|o| Json::Arr(o.iter().map(|x| Json::from_f64(*x)).collect()))
-                .collect(),
-        );
-        Json::Obj(vec![
-            ("v".into(), Json::Int(crate::record::FORMAT_VERSION)),
-            ("kind".into(), Json::Str(self.kind.as_str().into())),
-            ("sig".into(), Json::Str(format!("{:016x}", self.sig))),
-            ("seed".into(), Json::from_u64(self.seed)),
-            ("eps_total".into(), Json::Int(self.eps_total as i64)),
-            ("iteration".into(), Json::Int(self.iteration as i64)),
-            ("eps".into(), Json::Int(self.eps as i64)),
-            ("n_preloaded".into(), Json::Int(self.n_preloaded as i64)),
-            ("points".into(), points),
-            ("outputs".into(), outputs),
-            (
-                "fails".into(),
-                Json::Arr(
-                    self.fails
-                        .iter()
-                        .map(|f| {
-                            Json::Arr(vec![
-                                Json::Int(f.index as i64),
-                                Json::Str(f.kind.as_str().into()),
-                                Json::from_u64(f.attempts),
-                                Json::from_f64(f.elapsed_secs),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("stats".into(), stats_to_json(&self.stats)),
-        ])
-        .to_string()
+        for (k, (t, cfg)) in self.points.iter().enumerate() {
+            if k > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            json::write_i64(*t as i64, &mut out);
+            out.push(',');
+            write_values(cfg, &mut out);
+            out.push(']');
+        }
+        out.push_str("],\"outputs\":[");
+        for (k, o) in self.outputs.iter().enumerate() {
+            if k > 0 {
+                out.push(',');
+            }
+            write_f64s(o, &mut out);
+        }
+        out.push_str("],\"fails\":[");
+        for (k, f) in self.fails.iter().enumerate() {
+            if k > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "[{},\"{}\",\"{}\",",
+                f.index as i64,
+                f.kind.as_str(),
+                f.attempts
+            );
+            json::write_f64(f.elapsed_secs, &mut out);
+            out.push(']');
+        }
+        out.push_str("],\"stats\":");
+        self.stats.to_json().write(&mut out);
+        out.push('}');
+        out
     }
 
     /// Parses a checkpoint document.
     pub fn from_json_str(s: &str) -> Result<Checkpoint, String> {
-        let j = json::parse(s).map_err(|e| e.to_string())?;
+        let text = |e: ParseError| e.to_string();
+        let mut cur = Cursor::new(s);
+        let (mut points, mut outputs, mut rest) = (None, None, Vec::new());
+        cur.begin_object().map_err(text)?;
+        let mut started = false;
+        while let Some(key) = cur.next_key(&mut started).map_err(text)? {
+            // `points` and `outputs` are read in place, the rest as small
+            // trees; as with `Json::get`, the first of duplicated keys wins.
+            match &*key {
+                "points" if points.is_none() => {
+                    let p = cur.array_of(read_point).map_err(text)?;
+                    points = Some(p.ok_or("bad 'points'")?);
+                }
+                "outputs" if outputs.is_none() => {
+                    let o = cur
+                        .array_of(|row| row.array_of(|x| Ok(x.value()?.as_f64())))
+                        .map_err(text)?;
+                    outputs = Some(o.ok_or("bad 'outputs'")?);
+                }
+                _ => rest.push((key.into_owned(), cur.value().map_err(text)?)),
+            }
+        }
+        cur.end().map_err(text)?;
+        let j = Json::Obj(rest);
         let kind = j
             .get("kind")
             .and_then(Json::as_str)
@@ -168,37 +212,15 @@ impl Checkpoint {
         let iteration = usize_field("iteration")?;
         let eps = usize_field("eps")?;
         let n_preloaded = usize_field("n_preloaded")?;
-        let points = j
-            .get("points")
-            .and_then(Json::as_arr)
-            .ok_or("bad 'points'")?
-            .iter()
-            .map(|p| {
-                let pair = p.as_arr()?;
-                if pair.len() != 2 {
-                    return None;
-                }
-                let t = usize::try_from(pair.first()?.as_i64()?).ok()?;
-                let cfg: Option<Vec<DbValue>> = pair
-                    .get(1)?
-                    .as_arr()?
-                    .iter()
-                    .map(dbvalue_from_json)
-                    .collect();
-                Some((t, cfg?))
-            })
-            .collect::<Option<Vec<_>>>()
-            .ok_or("bad 'points'")?;
-        let outputs = j
-            .get("outputs")
-            .and_then(Json::as_arr)
-            .ok_or("bad 'outputs'")?
-            .iter()
-            .map(|o| o.as_arr()?.iter().map(Json::as_f64).collect())
-            .collect::<Option<Vec<Vec<f64>>>>()
-            .ok_or("bad 'outputs'")?;
+        let points = points.ok_or("bad 'points'")?;
+        let outputs = outputs.ok_or("bad 'outputs'")?;
         if points.len() != outputs.len() {
             return Err("points/outputs length mismatch".into());
+        }
+        // Preloaded rows come first among the points; more of them than
+        // points would underflow the resumed run's own evaluation count.
+        if n_preloaded > points.len() {
+            return Err("n_preloaded out of range".into());
         }
         // Absent in checkpoints written before the fault-tolerant
         // runtime: default to no recorded failures.
@@ -226,7 +248,7 @@ impl Checkpoint {
         if fails.iter().any(|f| f.index >= points.len()) {
             return Err("fail index out of range".into());
         }
-        let stats = j.get("stats").map(stats_from_json).unwrap_or_default();
+        let stats = j.get("stats").map(RunStats::from_json).unwrap_or_default();
         Ok(Checkpoint {
             kind,
             sig,
@@ -273,33 +295,30 @@ impl Checkpoint {
     }
 }
 
-fn dbvalue_to_json(v: &DbValue) -> Json {
-    match v {
-        DbValue::Real(x) => Json::Obj(vec![("r".into(), Json::from_f64(*x))]),
-        DbValue::Int(x) => Json::Obj(vec![("i".into(), Json::Int(*x))]),
-        DbValue::Cat(i) => Json::Obj(vec![("c".into(), Json::Int(*i as i64))]),
+/// Reads one `[task, [value, ...]]` point in place: an exact pair with a
+/// non-negative integer task. `Ok(None)` as in `Cursor::array_of`.
+fn read_point(cur: &mut Cursor) -> Result<Option<(usize, Vec<DbValue>)>, ParseError> {
+    if cur.peek() != Some(b'[') {
+        return Ok(None);
     }
-}
-
-fn dbvalue_from_json(j: &Json) -> Option<DbValue> {
-    if let Some(r) = j.get("r") {
-        return Some(DbValue::Real(r.as_f64()?));
+    cur.begin_array()?;
+    let mut started = false;
+    if !cur.next_item(&mut started)? {
+        return Ok(None);
     }
-    if let Some(i) = j.get("i") {
-        return Some(DbValue::Int(i.as_i64()?));
+    let Some(t) = cur.value()?.as_i64().and_then(|t| usize::try_from(t).ok()) else {
+        return Ok(None);
+    };
+    if !cur.next_item(&mut started)? {
+        return Ok(None);
     }
-    if let Some(c) = j.get("c") {
-        return usize::try_from(c.as_i64()?).ok().map(DbValue::Cat);
+    let Some(cfg) = cur.array_of(DbValue::read_json)? else {
+        return Ok(None);
+    };
+    if cur.next_item(&mut started)? {
+        return Ok(None);
     }
-    None
-}
-
-fn stats_to_json(s: &RunStats) -> Json {
-    s.to_json()
-}
-
-fn stats_from_json(j: &Json) -> RunStats {
-    RunStats::from_json(j)
+    Ok(Some((t, cfg)))
 }
 
 #[cfg(test)]
@@ -405,6 +424,26 @@ mod tests {
         let mut bad = sample();
         bad.fails[0].index = bad.points.len();
         assert!(Checkpoint::from_json_str(&bad.to_json_string()).is_err());
+    }
+
+    #[test]
+    fn n_preloaded_beyond_points_rejected() {
+        let mut c = sample();
+        c.n_preloaded = c.points.len();
+        assert!(Checkpoint::from_json_str(&c.to_json_string()).is_ok());
+        // More preloaded rows than points: a resumed run would subtract
+        // past zero when counting its own evaluations.
+        c.n_preloaded = c.points.len() + 1;
+        assert_eq!(
+            Checkpoint::from_json_str(&c.to_json_string()),
+            Err("n_preloaded out of range".to_string())
+        );
+        let d = tmpdir("preloaded");
+        let p = d.join("ckpt.json");
+        c.save(&p).unwrap();
+        let e = Checkpoint::load(&p).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        let _ = std::fs::remove_dir_all(&d);
     }
 
     #[test]

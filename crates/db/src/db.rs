@@ -159,8 +159,8 @@ impl Db {
     /// Returns the number of entries added.
     pub fn merge_entries(&self, problem: &str, sig: u64, entries: &[DbEntry]) -> io::Result<usize> {
         let (existing, _) = self.load(problem, sig)?;
-        let mut seen: std::collections::BTreeSet<String> =
-            existing.iter().map(DbEntry::dedup_key).collect();
+        let mut seen = std::collections::HashSet::with_capacity(existing.len() + entries.len());
+        seen.extend(existing.iter().map(DbEntry::dedup_key));
         let fresh: Vec<DbEntry> = entries
             .iter()
             .filter(|e| seen.insert(e.dedup_key()))

@@ -12,7 +12,17 @@
 //! Keeping the codec in-tree (std only) also keeps `gptune-db` free of
 //! external dependencies, so the storage layer builds wherever the tuner
 //! builds.
+//!
+//! Besides the [`Json`] tree, the crate's hot paths (checkpoint snapshots,
+//! journal lines, dedup keys) use two tree-free pieces: `write_f64`,
+//! `write_i64` and `write_escaped` append a number or a string literal
+//! exactly as the tree writer spells it (`Json::write` itself goes through
+//! them), and `Cursor` pulls a document member by member with the same
+//! grammar as [`parse`].
+//! `crates/db/tests/codec_equivalence.rs` pins their output and what they
+//! accept to the tree forms.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parsed JSON value. Objects preserve key order (append order), which
@@ -120,28 +130,16 @@ impl Json {
         Json::Str(x.to_string())
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact serialization to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(x) => {
-                let _ = write!(out, "{x}");
-            }
-            Json::Num(x) => {
-                if x.is_finite() {
-                    // Rust's shortest-roundtrip float formatting; force a
-                    // fraction so the value re-parses as Num, not Int.
-                    let s = format!("{x}");
-                    out.push_str(&s);
-                    if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-                        out.push_str(".0");
-                    }
-                } else {
-                    // Non-finite Num should have been built via from_f64;
-                    // degrade gracefully instead of emitting invalid JSON.
-                    Json::from_f64(*x).write(out);
-                }
-            }
+            Json::Int(x) => write_i64(*x, out),
+            // A non-finite Num should have been built via from_f64;
+            // write_f64 degrades to the same escape strings instead of
+            // emitting invalid JSON.
+            Json::Num(x) => write_f64(*x, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -178,7 +176,8 @@ impl std::fmt::Display for Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `s` as a quoted JSON string literal.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -194,6 +193,50 @@ fn write_escaped(s: &str, out: &mut String) {
         }
     }
     out.push('"');
+}
+
+/// Appends `x` exactly as `Json::from_f64(x).to_string()` spells it: the
+/// shortest round-trip decimal, with `.0` forced onto integral values so
+/// they re-parse as `Num` rather than `Int`, and the quoted escape strings
+/// `"inf"`, `"-inf"` and `"nan"` for non-finite values.
+pub(crate) fn write_f64(x: f64, out: &mut String) {
+    if x.is_finite() {
+        let start = out.len();
+        let _ = write!(out, "{x}");
+        if !out
+            .get(start..)
+            .is_some_and(|s| s.contains(['.', 'e', 'E']))
+        {
+            out.push_str(".0");
+        }
+    } else if x.is_nan() {
+        out.push_str("\"nan\"");
+    } else if x > 0.0 {
+        out.push_str("\"inf\"");
+    } else {
+        out.push_str("\"-inf\"");
+    }
+}
+
+/// Appends the decimal digits of `x`, as `write!(out, "{x}")` does but
+/// without the formatting machinery (archive rows are mostly integers).
+pub(crate) fn write_i64(x: i64, out: &mut String) {
+    let mut digits = [b'0'; 20];
+    let mut n = x.unsigned_abs();
+    let mut len = 0;
+    for slot in digits.iter_mut().rev() {
+        *slot = b'0' + (n % 10) as u8;
+        n /= 10;
+        len += 1;
+        if n == 0 {
+            break;
+        }
+    }
+    if x < 0 {
+        out.push('-');
+    }
+    let start = digits.len() - len;
+    out.extend(digits.iter().skip(start).map(|d| char::from(*d)));
 }
 
 /// A parse failure with its byte offset.
@@ -219,18 +262,126 @@ impl std::error::Error for ParseError {}
 
 /// Parses a complete JSON document (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        src: input,
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data"));
-    }
+    let mut cur = Cursor::new(input);
+    let v = cur.value()?;
+    cur.end()?;
     Ok(v)
+}
+
+/// A pull reader over one JSON document, for decoders that read a large
+/// array in place instead of through a [`Json`] tree. It accepts exactly
+/// the grammar of [`parse`]: the caller walks objects and arrays with
+/// [`Cursor::next_key`]/[`Cursor::next_item`], reads or skips each member
+/// with [`Cursor::value`] (or descends into it), and calls
+/// [`Cursor::end`] to reject trailing data.
+pub(crate) struct Cursor<'a> {
+    p: Parser<'a>,
+}
+
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(input: &'a str) -> Cursor<'a> {
+        Cursor {
+            p: Parser {
+                src: input,
+                bytes: input.as_bytes(),
+                pos: 0,
+            },
+        }
+    }
+
+    /// The next non-whitespace byte, not consumed.
+    pub(crate) fn peek(&mut self) -> Option<u8> {
+        self.p.skip_ws();
+        self.p.peek()
+    }
+
+    /// Consumes the `{` that opens an object.
+    pub(crate) fn begin_object(&mut self) -> Result<(), ParseError> {
+        self.p.skip_ws();
+        self.p.expect_byte(b'{')
+    }
+
+    /// Consumes the `[` that opens an array.
+    pub(crate) fn begin_array(&mut self) -> Result<(), ParseError> {
+        self.p.skip_ws();
+        self.p.expect_byte(b'[')
+    }
+
+    /// Advances to the next key of the current object and past its `:`,
+    /// or consumes the closing `}` and returns `None`. The caller owns
+    /// `started`: `false` before the first call on an object, then kept
+    /// up to date by each call.
+    pub(crate) fn next_key(
+        &mut self,
+        started: &mut bool,
+    ) -> Result<Option<Cow<'a, str>>, ParseError> {
+        if !self.next_member(started, b'}')? {
+            return Ok(None);
+        }
+        self.p.skip_ws();
+        let key = self.p.key()?;
+        self.p.skip_ws();
+        self.p.expect_byte(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Advances to the next item of the current array, or consumes the
+    /// closing `]` and returns `false`; `started` as in
+    /// [`Cursor::next_key`].
+    pub(crate) fn next_item(&mut self, started: &mut bool) -> Result<bool, ParseError> {
+        self.next_member(started, b']')
+    }
+
+    fn next_member(&mut self, started: &mut bool, close: u8) -> Result<bool, ParseError> {
+        self.p.skip_ws();
+        if self.p.peek() == Some(close) {
+            self.p.pos += 1;
+            return Ok(false);
+        }
+        if *started {
+            self.p.expect_byte(b',')?;
+        }
+        *started = true;
+        Ok(true)
+    }
+
+    /// Reads an array whose items `item` reads in place. `Ok(None)` when
+    /// the next value is not an array or `item` returns `Ok(None)`; the
+    /// cursor is then left inside the value, so the caller gives up on
+    /// the document.
+    pub(crate) fn array_of<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Cursor<'a>) -> Result<Option<T>, ParseError>,
+    ) -> Result<Option<Vec<T>>, ParseError> {
+        if self.peek() != Some(b'[') {
+            return Ok(None);
+        }
+        self.begin_array()?;
+        let mut items = Vec::new();
+        let mut started = false;
+        while self.next_item(&mut started)? {
+            let Some(x) = item(self)? else {
+                return Ok(None);
+            };
+            items.push(x);
+        }
+        Ok(Some(items))
+    }
+
+    /// Reads one whole value as a tree (also how a member is skipped).
+    pub(crate) fn value(&mut self) -> Result<Json, ParseError> {
+        self.p.skip_ws();
+        self.p.value()
+    }
+
+    /// Accepts only trailing whitespace after the document.
+    pub(crate) fn end(&mut self) -> Result<(), ParseError> {
+        self.p.skip_ws();
+        if self.p.pos != self.p.bytes.len() {
+            return Err(self.p.err("trailing data"));
+        }
+        Ok(())
+    }
 }
 
 struct Parser<'a> {
@@ -344,6 +495,25 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.err("expected ',' or ']'")),
             }
         }
+    }
+
+    /// A string that borrows from the input when it has no escapes.
+    fn key(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        if self.peek() == Some(b'"') {
+            let start = self.pos + 1;
+            let stop = self
+                .bytes
+                .get(start..)
+                .and_then(|rest| rest.iter().position(|b| matches!(b, b'"' | b'\\')))
+                .map(|n| start + n);
+            if let Some(end) = stop.filter(|e| self.bytes.get(*e) == Some(&b'"')) {
+                if let Some(key) = self.src.get(start..end) {
+                    self.pos = end + 1;
+                    return Ok(Cow::Borrowed(key));
+                }
+            }
+        }
+        self.string().map(Cow::Owned)
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
@@ -475,6 +645,9 @@ mod tests {
         assert_eq!(parse(&s).unwrap(), Json::Int(i64::MAX));
         let s = i64::MIN.to_string();
         assert_eq!(parse(&s).unwrap(), Json::Int(i64::MIN));
+        for x in [i64::MIN, i64::MIN + 1, -10, -1, 0, 9, 10, 99, i64::MAX] {
+            assert_eq!(Json::Int(x).to_string(), x.to_string());
+        }
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! forward-compatibility contract: a v2 writer must only *add* fields or
 //! kinds.
 
-use crate::json::Json;
+use crate::json::{self, Cursor, Json, ParseError};
+use std::fmt::Write as _;
 
 /// Current journal format version stamped on every line.
 pub const FORMAT_VERSION: i64 = 1;
@@ -35,26 +36,63 @@ pub enum DbValue {
 }
 
 impl DbValue {
-    fn to_json(&self) -> Json {
+    /// Appends the value object: `{"r":x}` (spelled by
+    /// [`json::write_f64`]), `{"i":n}` or `{"c":k}`.
+    pub(crate) fn write_json(&self, out: &mut String) {
         match self {
-            DbValue::Real(x) => Json::Obj(vec![("r".into(), Json::from_f64(*x))]),
-            DbValue::Int(x) => Json::Obj(vec![("i".into(), Json::Int(*x))]),
-            DbValue::Cat(i) => Json::Obj(vec![("c".into(), Json::Int(*i as i64))]),
+            DbValue::Real(x) => {
+                out.push_str("{\"r\":");
+                json::write_f64(*x, out);
+            }
+            DbValue::Int(x) => {
+                out.push_str("{\"i\":");
+                json::write_i64(*x, out);
+            }
+            DbValue::Cat(i) => {
+                out.push_str("{\"c\":");
+                json::write_i64(*i as i64, out);
+            }
         }
+        out.push('}');
     }
 
     fn from_json(j: &Json) -> Option<DbValue> {
-        if let Some(r) = j.get("r") {
+        DbValue::from_tags(j.get("r"), j.get("i"), j.get("c"))
+    }
+
+    /// Reads one value object in place, by the rule of
+    /// [`DbValue::from_json`]; `Ok(None)` when the next value is not one.
+    pub(crate) fn read_json(cur: &mut Cursor) -> Result<Option<DbValue>, ParseError> {
+        if cur.peek() != Some(b'{') {
+            return Ok(None);
+        }
+        cur.begin_object()?;
+        let (mut r, mut i, mut c) = (None, None, None);
+        let mut started = false;
+        while let Some(key) = cur.next_key(&mut started)? {
+            let v = cur.value()?;
+            let slot = match &*key {
+                "r" => &mut r,
+                "i" => &mut i,
+                "c" => &mut c,
+                _ => continue,
+            };
+            slot.get_or_insert(v);
+        }
+        Ok(DbValue::from_tags(r.as_ref(), i.as_ref(), c.as_ref()))
+    }
+
+    /// The first present tag decides, in the order `r`, `i`, `c`; a tag
+    /// whose value has the wrong type is an error, not a fall-through.
+    fn from_tags(r: Option<&Json>, i: Option<&Json>, c: Option<&Json>) -> Option<DbValue> {
+        if let Some(r) = r {
             return Some(DbValue::Real(r.as_f64()?));
         }
-        if let Some(i) = j.get("i") {
+        if let Some(i) = i {
             return Some(DbValue::Int(i.as_i64()?));
         }
-        if let Some(c) = j.get("c") {
-            let idx = c.as_i64()?;
-            return usize::try_from(idx).ok().map(DbValue::Cat);
-        }
-        None
+        let idx = c?.as_i64()?;
+        usize::try_from(idx).ok().map(DbValue::Cat)
     }
 
     /// Numeric view (matches `Value::as_f64` semantics).
@@ -67,9 +105,32 @@ impl DbValue {
     }
 }
 
-fn values_to_json(vs: &[DbValue]) -> Json {
-    Json::Arr(vs.iter().map(|v| v.to_json()).collect())
+/// Appends `vs` as a JSON array of value objects.
+pub(crate) fn write_values(vs: &[DbValue], out: &mut String) {
+    out.push('[');
+    for (k, v) in vs.iter().enumerate() {
+        if k > 0 {
+            out.push(',');
+        }
+        v.write_json(out);
+    }
+    out.push(']');
 }
+
+/// Appends `xs` as a JSON array of [`json::write_f64`] numbers.
+pub(crate) fn write_f64s(xs: &[f64], out: &mut String) {
+    out.push('[');
+    for (k, x) in xs.iter().enumerate() {
+        if k > 0 {
+            out.push(',');
+        }
+        json::write_f64(*x, out);
+    }
+    out.push(']');
+}
+
+/// Generous byte estimate of one written value object.
+pub(crate) const VALUE_BYTES: usize = 24;
 
 fn values_from_json(j: &Json) -> Option<Vec<DbValue>> {
     j.as_arr()?.iter().map(DbValue::from_json).collect()
@@ -87,15 +148,14 @@ pub struct Provenance {
 }
 
 impl Provenance {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("seed".to_string(), Json::from_u64(self.seed)),
-            ("run".to_string(), Json::Str(self.run.clone())),
-        ];
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{{\"seed\":\"{}\",\"run\":", self.seed);
+        json::write_escaped(&self.run, out);
         if let Some(m) = &self.machine {
-            pairs.push(("machine".to_string(), Json::Str(m.clone())));
+            out.push_str(",\"machine\":");
+            json::write_escaped(m, out);
         }
-        Json::Obj(pairs)
+        out.push('}');
     }
 
     fn from_json(j: &Json) -> Provenance {
@@ -322,44 +382,59 @@ impl DbEntry {
 
     /// Serializes to one JSONL line (no trailing newline).
     pub fn to_line(&self) -> String {
+        let (kind, problem, sig, n_values) = match self {
+            DbEntry::Eval(r) => (
+                "eval",
+                &r.problem,
+                r.sig,
+                r.task.len() + r.config.len() + r.outputs.len(),
+            ),
+            // The ten numbers of `RunStats`.
+            DbEntry::Run(r) => ("run", &r.problem, r.sig, 10),
+            DbEntry::Fail(r) => ("fail", &r.problem, r.sig, r.task.len() + r.config.len()),
+        };
+        let mut out = String::with_capacity(192 + problem.len() + VALUE_BYTES * n_values);
+        let _ = write!(
+            out,
+            "{{\"v\":{FORMAT_VERSION},\"kind\":\"{kind}\",\"problem\":"
+        );
+        json::write_escaped(problem, &mut out);
+        let _ = write!(out, ",\"sig\":\"{sig:016x}\"");
         match self {
-            DbEntry::Eval(r) => Json::Obj(vec![
-                ("v".into(), Json::Int(FORMAT_VERSION)),
-                ("kind".into(), Json::Str("eval".into())),
-                ("problem".into(), Json::Str(r.problem.clone())),
-                ("sig".into(), Json::Str(format!("{:016x}", r.sig))),
-                ("task".into(), values_to_json(&r.task)),
-                ("config".into(), values_to_json(&r.config)),
-                (
-                    "outputs".into(),
-                    Json::Arr(r.outputs.iter().map(|x| Json::from_f64(*x)).collect()),
-                ),
-                ("prov".into(), r.prov.to_json()),
-            ])
-            .to_string(),
-            DbEntry::Run(r) => Json::Obj(vec![
-                ("v".into(), Json::Int(FORMAT_VERSION)),
-                ("kind".into(), Json::Str("run".into())),
-                ("problem".into(), Json::Str(r.problem.clone())),
-                ("sig".into(), Json::Str(format!("{:016x}", r.sig))),
-                ("prov".into(), r.prov.to_json()),
-                ("stats".into(), r.stats.to_json()),
-            ])
-            .to_string(),
-            DbEntry::Fail(r) => Json::Obj(vec![
-                ("v".into(), Json::Int(FORMAT_VERSION)),
-                ("kind".into(), Json::Str("fail".into())),
-                ("problem".into(), Json::Str(r.problem.clone())),
-                ("sig".into(), Json::Str(format!("{:016x}", r.sig))),
-                ("task".into(), values_to_json(&r.task)),
-                ("config".into(), values_to_json(&r.config)),
-                ("fail_kind".into(), Json::Str(r.kind.as_str().into())),
-                ("attempts".into(), Json::from_u64(r.attempts)),
-                ("elapsed_s".into(), Json::from_f64(r.elapsed_secs)),
-                ("prov".into(), r.prov.to_json()),
-            ])
-            .to_string(),
+            DbEntry::Eval(r) => {
+                out.push_str(",\"task\":");
+                write_values(&r.task, &mut out);
+                out.push_str(",\"config\":");
+                write_values(&r.config, &mut out);
+                out.push_str(",\"outputs\":");
+                write_f64s(&r.outputs, &mut out);
+                out.push_str(",\"prov\":");
+                r.prov.write_json(&mut out);
+            }
+            DbEntry::Run(r) => {
+                out.push_str(",\"prov\":");
+                r.prov.write_json(&mut out);
+                out.push_str(",\"stats\":");
+                r.stats.to_json().write(&mut out);
+            }
+            DbEntry::Fail(r) => {
+                out.push_str(",\"task\":");
+                write_values(&r.task, &mut out);
+                out.push_str(",\"config\":");
+                write_values(&r.config, &mut out);
+                let _ = write!(
+                    out,
+                    ",\"fail_kind\":\"{}\",\"attempts\":\"{}\",\"elapsed_s\":",
+                    r.kind.as_str(),
+                    r.attempts
+                );
+                json::write_f64(r.elapsed_secs, &mut out);
+                out.push_str(",\"prov\":");
+                r.prov.write_json(&mut out);
+            }
         }
+        out.push('}');
+        out
     }
 
     /// Parses one journal line. `Ok(None)` means the line is valid JSON of
@@ -438,22 +513,28 @@ impl DbEntry {
     /// Deduplication key: evals collapse on (sig, task, config, outputs);
     /// run summaries on (sig, run id).
     pub fn dedup_key(&self) -> String {
+        let with_capacity = |n: usize| String::with_capacity(32 + VALUE_BYTES * n);
         match self {
             DbEntry::Eval(r) => {
-                let mut k = format!("e:{:016x}", r.sig);
+                let mut k = with_capacity(r.task.len() + r.config.len() + r.outputs.len());
+                let _ = write!(k, "e:{:016x}", r.sig);
                 for v in r.task.iter().chain(&r.config) {
-                    k.push_str(&format!("|{}", v.to_json()));
+                    k.push('|');
+                    v.write_json(&mut k);
                 }
                 for o in &r.outputs {
-                    k.push_str(&format!("|{}", Json::from_f64(*o)));
+                    k.push('|');
+                    json::write_f64(*o, &mut k);
                 }
                 k
             }
             DbEntry::Run(r) => format!("r:{:016x}|{}", r.sig, r.prov.run),
             DbEntry::Fail(r) => {
-                let mut k = format!("f:{:016x}|{}", r.sig, r.kind.as_str());
+                let mut k = with_capacity(r.task.len() + r.config.len());
+                let _ = write!(k, "f:{:016x}|{}", r.sig, r.kind.as_str());
                 for v in r.task.iter().chain(&r.config) {
-                    k.push_str(&format!("|{}", v.to_json()));
+                    k.push('|');
+                    v.write_json(&mut k);
                 }
                 k
             }

@@ -36,7 +36,7 @@ use crate::journal_v2;
 use crate::json::{self, Json};
 use crate::lock::{FileLock, LockOptions};
 use crate::record::DbEntry;
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -283,7 +283,7 @@ pub fn load_all(
     );
     absorb(&mut report, &r);
     entries.extend(live);
-    let mut seen = BTreeSet::new();
+    let mut seen = HashSet::with_capacity(entries.len());
     entries.retain(|e| seen.insert(e.dedup_key()));
     report.n_loaded = entries.len();
     Ok((entries, report))
@@ -394,7 +394,7 @@ pub fn compact_live(
 ) -> io::Result<(usize, usize)> {
     let live_path = live_journal_path(root, problem, sig);
     let _guard = FileLock::acquire(&live_path, lock)?;
-    let mut seen = BTreeSet::new();
+    let mut seen = HashSet::new();
     if let Some(manifest) = ShardManifest::load(root, problem, sig)? {
         for info in &manifest.shards {
             let (es, _) = load_shard(root, info)?;

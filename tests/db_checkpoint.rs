@@ -4,7 +4,9 @@
 //! GPTune workflow needs from its archive.
 
 use gptune::core::{mla, mla_mo, runlog, MlaOptions, TuningProblem};
-use gptune::db::{Db, DbEntry, DbRecord, DbValue, Provenance, Query};
+use gptune::db::{
+    Checkpoint, CheckpointKind, Db, DbEntry, DbRecord, DbValue, Provenance, Query, RunStats,
+};
 use gptune::space::{Config, Param, Space, Value};
 use std::path::PathBuf;
 
@@ -95,6 +97,48 @@ fn interrupted_mla_resumes_to_identical_result() {
     assert!(db.load_checkpoint(sig, o.seed).unwrap().is_none());
     let archived = db.query(&p.name, sig, &Query::default()).unwrap();
     assert_eq!(archived.len(), budget * 2, "every eval archived once");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A checkpoint claiming more preloaded rows than it has points is
+/// rejected as unreadable, so the run starts fresh and ends exactly like a
+/// run that never saw it (instead of underflowing its evaluation count).
+#[test]
+fn checkpoint_with_too_many_preloaded_rows_is_ignored() {
+    let root = tmp_root("bad_preloaded");
+    let p = toy_problem(2);
+    let budget = 6;
+    let full = mla::tune(&p, &fast_opts(budget));
+
+    let o = fast_opts(budget).with_db(&root).checkpoint_every(1);
+    let db = Db::open(&root).unwrap();
+    let sig = gptune::core::problem_signature(&p);
+    let bad = Checkpoint {
+        kind: CheckpointKind::Mla,
+        sig,
+        seed: o.seed,
+        eps_total: budget,
+        iteration: 1,
+        eps: 4,
+        n_preloaded: 5,
+        points: vec![(0, vec![DbValue::Real(0.5)])],
+        outputs: vec![vec![1.0]],
+        fails: Vec::new(),
+        stats: RunStats::default(),
+    };
+    db.save_checkpoint(&bad).unwrap();
+    assert!(db.load_checkpoint(sig, o.seed).is_err());
+
+    let run = mla::tune(&p, &o);
+    assert!(run.completed);
+    assert_eq!(run.per_task.len(), full.per_task.len());
+    for (a, b) in run.per_task.iter().zip(&full.per_task) {
+        assert_eq!(a.best_config, b.best_config);
+        assert_eq!(a.best_value, b.best_value);
+        assert_eq!(a.samples, b.samples);
+    }
+    assert_eq!(run.stats.n_evals, full.stats.n_evals);
+    assert!(db.load_checkpoint(sig, o.seed).unwrap().is_none());
     let _ = std::fs::remove_dir_all(&root);
 }
 

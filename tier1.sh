@@ -24,6 +24,12 @@ cargo test -q -p gptune-core
 # their test-only reference forms) or gptune-apps' (simulators and the
 # golden digest of the SuperLU symbolic fill table).
 cargo test -q --release -p gptune-sparse
+# Db gate: nor does it run gptune-db's own tests (journal recovery, locks,
+# shards, v2) or its codec equivalence suite: checkpoint documents, journal
+# lines and dedup keys byte-identical to test-only tree oracles, plus a
+# seeded differential fuzz of the in-place checkpoint decoder (release mode
+# for the fuzz count).
+cargo test -q --release -p gptune-db
 cargo test -q -p gptune-apps
 # Chaos gate: MLA under injected crashes/hangs/transients must complete,
 # resume deterministically, and skip journaled crashers.

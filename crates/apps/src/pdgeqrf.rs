@@ -52,10 +52,11 @@ impl PdgeqrfApp {
         &self.machine
     }
 
-    /// Classical QR flop count `2mn² − 2n³/3` (used to sort tasks in
-    /// Fig. 5 left).
+    /// Classical QR flop count `2mn² − 2n³/3` of the tall orientation
+    /// (used to sort tasks in Fig. 5 left); symmetric in `m` and `n`, like
+    /// [`PdgeqrfApp::cost_terms`].
     pub fn flops(m: f64, n: f64) -> f64 {
-        2.0 * m * n * n - 2.0 * n * n * n / 3.0
+        qr_flops_x3(m, n) / 3.0
     }
 
     /// Eqs. 8–10 cost terms `(C_flop, C_msg, C_vol)` with `b = b_r`.
@@ -65,11 +66,11 @@ impl PdgeqrfApp {
     /// (the LQ-equivalent factorization), so dimensions are swapped first —
     /// without this the flop term goes negative when `n > 3m`.
     pub fn cost_terms(m: f64, n: f64, b_r: f64, p: f64, p_r: f64) -> (f64, f64, f64) {
-        let (m, n) = if m >= n { (m, n) } else { (n, m) };
+        let (m, n) = tall(m, n);
         let p_c = (p / p_r).floor().max(1.0);
         let log_pr = p_r.max(2.0).log2();
         let log_pc = p_c.max(2.0).log2();
-        let c_flop = 2.0 * n * n * (3.0 * m - n) / (3.0 * 2.0 * p)
+        let c_flop = qr_flops_x3(m, n) / (3.0 * 2.0 * p)
             + b_r * n * n / (2.0 * p_c)
             + 3.0 * b_r * n * (2.0 * m - n) / (2.0 * p_r)
             + b_r * b_r * n / (3.0 * p_r);
@@ -86,7 +87,7 @@ impl PdgeqrfApp {
         let nthreads = (p_max / p).floor().max(1.0);
         let (c_flop, c_msg, c_vol) = Self::cost_terms(m, n, b_r, p, p_r);
         // Imbalance reasoning below also assumes the tall orientation.
-        let (m, n) = if m >= n { (m, n) } else { (n, m) };
+        let (m, n) = tall(m, n);
 
         // Effects the coarse model does not capture:
         // 1. BLAS-3 efficiency ramps with the blocking factors.
@@ -106,6 +107,23 @@ impl PdgeqrfApp {
             * nthreads.sqrt(); // idle threads don't help communication
         t_comp + t_comm
     }
+}
+
+/// `(m, n)` in the tall orientation (`m ≥ n`) the CAQR analysis assumes.
+fn tall(m: f64, n: f64) -> (f64, f64) {
+    if m >= n {
+        (m, n)
+    } else {
+        (n, m)
+    }
+}
+
+/// Three times the classical QR flop count of the tall orientation,
+/// `2n²(3m − n)`: the one formula behind [`PdgeqrfApp::flops`] and the
+/// leading term of `C_flop`.
+fn qr_flops_x3(m: f64, n: f64) -> f64 {
+    let (m, n) = tall(m, n);
+    2.0 * n * n * (3.0 * m - n)
 }
 
 impl HpcApp for PdgeqrfApp {
@@ -319,5 +337,24 @@ mod tests {
             assert_eq!((f1, g1, v1), (f2, g2, v2));
             let _ = tt;
         }
+    }
+
+    #[test]
+    fn flops_symmetric_and_positive_for_wide_tasks() {
+        // n > 3m made the unswapped formula negative (a Fig. 5 sort key).
+        for (m, n) in [
+            (128.0, 40_000.0),
+            (1000.0, 39_000.0),
+            (5046.0, 17322.0),
+            (700.0, 700.0),
+        ] {
+            let f = PdgeqrfApp::flops(m, n);
+            assert_eq!(f, PdgeqrfApp::flops(n, m), "(m={m}, n={n})");
+            assert!(f > 0.0, "(m={m}, n={n}) -> {f}");
+        }
+        // One formula with C_flop: at b_r = 0 and p = 1/2 it is exactly
+        // the flop count.
+        let (c_flop, _, _) = PdgeqrfApp::cost_terms(1000.0, 39_000.0, 0.0, 0.5, 1.0);
+        assert_eq!(c_flop, PdgeqrfApp::flops(1000.0, 39_000.0));
     }
 }

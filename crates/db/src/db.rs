@@ -18,7 +18,9 @@
 use crate::checkpoint::Checkpoint;
 use crate::journal::{self, RecoveryReport};
 use crate::lock::LockOptions;
-use crate::record::{DbEntry, DbRecord, DbValue, FailRecord, RunSummary};
+use crate::record::{DbEntry, DbRecord, DbValue, DedupKey, FailRecord, Kinds, RunSummary};
+use crate::shard;
+use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -92,12 +94,12 @@ impl Db {
     /// shards (when a manifest exists) followed by the live journal,
     /// deduplicated.
     pub fn load(&self, problem: &str, sig: u64) -> io::Result<(Vec<DbEntry>, RecoveryReport)> {
-        crate::shard::load_all(&self.root, problem, sig)
+        shard::load_all(&self.root, problem, sig)
     }
 
     /// Archived evaluations matching a filter, in journal (append) order.
     pub fn query(&self, problem: &str, sig: u64, q: &Query) -> io::Result<Vec<DbRecord>> {
-        let (entries, _) = self.load(problem, sig)?;
+        let (entries, _) = shard::scan_all(&self.root, problem, sig, Kinds::EVAL)?;
         Ok(entries
             .into_iter()
             .filter_map(|e| match e {
@@ -112,7 +114,7 @@ impl Db {
 
     /// Run summaries of a problem, in append order.
     pub fn run_summaries(&self, problem: &str, sig: u64) -> io::Result<Vec<RunSummary>> {
-        let (entries, _) = self.load(problem, sig)?;
+        let (entries, _) = shard::scan_all(&self.root, problem, sig, Kinds::RUN)?;
         Ok(entries
             .into_iter()
             .filter_map(|e| match e {
@@ -125,7 +127,7 @@ impl Db {
     /// Archived failure records of a problem, in append order — the
     /// "known to fail" set consulted before re-evaluating configurations.
     pub fn failures(&self, problem: &str, sig: u64) -> io::Result<Vec<FailRecord>> {
-        let (entries, _) = self.load(problem, sig)?;
+        let (entries, _) = shard::scan_all(&self.root, problem, sig, Kinds::FAIL)?;
         Ok(entries
             .into_iter()
             .filter_map(|e| match e {
@@ -159,11 +161,11 @@ impl Db {
     /// Returns the number of entries added.
     pub fn merge_entries(&self, problem: &str, sig: u64, entries: &[DbEntry]) -> io::Result<usize> {
         let (existing, _) = self.load(problem, sig)?;
-        let mut seen = std::collections::HashSet::with_capacity(existing.len() + entries.len());
-        seen.extend(existing.iter().map(DbEntry::dedup_key));
+        let mut seen = HashSet::with_capacity(existing.len() + entries.len());
+        seen.extend(existing.iter().map(DedupKey));
         let fresh: Vec<DbEntry> = entries
             .iter()
-            .filter(|e| seen.insert(e.dedup_key()))
+            .filter(|e| seen.insert(DedupKey(e)))
             .cloned()
             .collect();
         if fresh.is_empty() {

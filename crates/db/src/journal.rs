@@ -10,7 +10,8 @@
 
 use crate::fsio;
 use crate::lock::{FileLock, LockOptions};
-use crate::record::DbEntry;
+use crate::record::{dedup, DbEntry, DedupKey};
+use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -193,21 +194,16 @@ fn ends_with_newline(path: &Path) -> io::Result<bool> {
 /// `(entries_kept, entries_dropped)`.
 pub fn compact(path: &Path, lock: &LockOptions) -> io::Result<(usize, usize)> {
     let _guard = FileLock::acquire(path, lock)?;
-    let (entries, report) = load(path)?;
-    let mut seen = std::collections::HashSet::new();
-    let mut kept: Vec<&DbEntry> = Vec::with_capacity(entries.len());
-    for e in &entries {
-        if seen.insert(e.dedup_key()) {
-            kept.push(e);
-        }
-    }
+    let (mut kept, report) = load(path)?;
+    let n_loaded = kept.len();
+    dedup(&mut kept);
     let mut buf = String::new();
     for e in &kept {
         buf.push_str(&e.to_line());
         buf.push('\n');
     }
     fsio::atomic_write(path, buf.as_bytes())?;
-    let dropped = entries.len() - kept.len()
+    let dropped = n_loaded - kept.len()
         + report.n_corrupt_interior
         + report.n_unknown_kind
         + usize::from(report.dropped_torn_tail);
@@ -221,13 +217,11 @@ pub fn merge(dst: &Path, src: &Path, lock: &LockOptions) -> io::Result<usize> {
     let (incoming, _) = load(src)?;
     let _guard = FileLock::acquire(dst, lock)?;
     let (existing, _) = load(dst)?;
-    let seen: std::collections::HashSet<String> = existing.iter().map(|e| e.dedup_key()).collect();
+    let mut seen: HashSet<DedupKey> = existing.iter().map(DedupKey).collect();
     let mut buf = String::new();
     let mut added = 0usize;
-    let mut batch_seen = std::collections::HashSet::new();
     for e in &incoming {
-        let k = e.dedup_key();
-        if !seen.contains(&k) && batch_seen.insert(k) {
+        if seen.insert(DedupKey(e)) {
             buf.push_str(&e.to_line());
             buf.push('\n');
             added += 1;

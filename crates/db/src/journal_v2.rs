@@ -14,7 +14,12 @@
 //!   indices) or zigzag varints (tuning integers), floats as 8 LE bytes;
 //! * every record payload carries a CRC32 so interior corruption is
 //!   detected and skipped, and a truncated tail is dropped — the same
-//!   recovery contract as [`crate::journal::load`].
+//!   recovery contract as [`crate::journal::load`]. Every record a read
+//!   returns is CRC-verified.
+//!
+//! Reads are one scan with a kind mask: [`load`] is the all-kinds case,
+//! and a kind-filtered read steps over other kinds' records by their
+//! length prefix, reading only the payload's tag byte.
 //!
 //! v2 files are written atomically ([`crate::fsio::atomic_write`]) and are
 //! never appended to. The JSONL reader stays the migration path: `load`
@@ -24,7 +29,7 @@
 use crate::fsio;
 use crate::journal::{RecordError, RecordErrorKind, RecoveryReport};
 use crate::record::{
-    DbEntry, DbRecord, DbValue, FailKind, FailRecord, Provenance, RunStats, RunSummary,
+    DbEntry, DbRecord, DbValue, FailKind, FailRecord, Kinds, Provenance, RunStats, RunSummary,
 };
 use std::fs;
 use std::io;
@@ -102,19 +107,29 @@ pub fn write(path: &Path, problem: &str, sig: u64, entries: &[DbEntry]) -> io::R
 /// Loads every recoverable entry of a v2 archive. A missing file is an
 /// empty archive; a corrupt record is skipped (CRC mismatch / bad tag →
 /// `n_corrupt_interior` / `n_unknown_kind`); a truncated tail is dropped
-/// (`dropped_torn_tail`). Only I/O errors and a bad header fail.
+/// (`dropped_torn_tail`). Only I/O errors and a bad header fail. This is
+/// the all-kinds case of `scan`.
 pub fn load(path: &Path) -> io::Result<(Vec<DbEntry>, RecoveryReport)> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
+    scan(path, Kinds::ALL)
+}
+
+/// [`load`] narrowed to the records of `kinds`. A record of another kind
+/// is stepped over by its length prefix, without CRC check or decode, and
+/// is neither returned nor counted in the report. Every returned record is
+/// CRC-verified, and the entries equal [`load`]'s filtered to `kinds`.
+pub(crate) fn scan(path: &Path, kinds: Kinds) -> io::Result<(Vec<DbEntry>, RecoveryReport)> {
+    match fs::read(path) {
+        Ok(bytes) => scan_bytes(&bytes, kinds),
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return Ok((Vec::new(), RecoveryReport::default()))
+            Ok((Vec::new(), RecoveryReport::default()))
         }
-        Err(e) => return Err(e),
-    };
-    let mut r = Reader {
-        buf: &bytes,
-        pos: 0,
-    };
+        Err(e) => Err(e),
+    }
+}
+
+/// [`scan`] over the bytes of a v2 file.
+fn scan_bytes(bytes: &[u8], kinds: Kinds) -> io::Result<(Vec<DbEntry>, RecoveryReport)> {
+    let mut r = Reader { buf: bytes, pos: 0 };
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, format!("journal_v2: {msg}"));
     if r.take(MAGIC.len()) != Some(MAGIC.as_slice()) {
         return Err(bad("bad magic"));
@@ -166,6 +181,9 @@ pub fn load(path: &Path) -> io::Result<(Vec<DbEntry>, RecoveryReport)> {
             torn(&mut report);
             break;
         };
+        if !kinds.contains(tag_kinds(payload.first())) {
+            continue;
+        }
         let stored = u32::from_le_bytes(stored_crc);
         let computed = crc32(payload);
         if computed != stored {
@@ -186,6 +204,17 @@ pub fn load(path: &Path) -> io::Result<(Vec<DbEntry>, RecoveryReport)> {
         }
     }
     Ok((entries, report))
+}
+
+/// The kind a payload's tag byte announces: [`Kinds::OTHER`] for an
+/// unknown tag or an empty payload.
+fn tag_kinds(tag: Option<&u8>) -> Kinds {
+    match tag {
+        Some(&TAG_EVAL) => Kinds::EVAL,
+        Some(&TAG_RUN) => Kinds::RUN,
+        Some(&TAG_FAIL) => Kinds::FAIL,
+        _ => Kinds::OTHER,
+    }
 }
 
 /// `(problem, sig, machine)` of any entry.
@@ -467,15 +496,64 @@ fn unzigzag(u: u64) -> i64 {
     ((u >> 1) as i64) ^ -((u & 1) as i64)
 }
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+/// Slice-by-8 lookup tables of the reflected CRC-32 polynomial:
+/// `CRC_TABLES[0][b]` is the CRC of the byte `b`, and `CRC_TABLES[k][b]`
+/// that byte followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+// PANIC-SAFETY: evaluated at compile time (an out-of-range index would
+// fail the build); every index is a loop counter below its array's length
+// or a byte masked with 0xff.
+#[allow(clippy::indexing_slicing)]
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected) over `bytes`, eight bytes per step.
+// PANIC-SAFETY: table indices are single bytes into 256-entry tables, and
+// each `w` from `chunks_exact(8)` holds exactly eight bytes.
+#[allow(clippy::indexing_slicing)]
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let byte = |x: u32, shift: u32| ((x >> shift) & 0xff) as usize;
+    let mut crc: u32 = !0;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][byte(lo, 0)]
+            ^ t[6][byte(lo, 8)]
+            ^ t[5][byte(lo, 16)]
+            ^ t[4][byte(lo, 24)]
+            ^ t[3][byte(hi, 0)]
+            ^ t[2][byte(hi, 8)]
+            ^ t[1][byte(hi, 16)]
+            ^ t[0][byte(hi, 24)];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][byte(crc ^ u32::from(b), 0)];
     }
     !crc
 }
@@ -694,6 +772,221 @@ mod tests {
     fn crc32_known_vector() {
         // IEEE CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+    }
+
+    /// SplitMix64, the generator of the fuzz below.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A v2 file of every record kind, two machines, NaN payloads, ±0.0
+    /// and infinities, and the entries it holds.
+    fn fuzz_shard(d: &Path) -> (Vec<u8>, Vec<DbEntry>) {
+        let odd_nan = f64::from_bits(0x7ff8_0000_0000_0001);
+        let mut entries = Vec::new();
+        for i in 0..24i64 {
+            let prov = Provenance {
+                seed: i as u64,
+                run: format!("run{}", i % 3),
+                machine: [None, Some("machA".to_string()), Some("machB".into())][i as usize % 3]
+                    .clone(),
+            };
+            let task = vec![DbValue::Int(i % 4), DbValue::Cat(i as usize % 2)];
+            let config = vec![
+                DbValue::Real([0.0, -0.0, odd_nan, 0.25][i as usize % 4]),
+                DbValue::Int(-i),
+            ];
+            entries.push(match i % 4 {
+                0 | 1 => DbEntry::Eval(DbRecord {
+                    problem: "p".into(),
+                    sig: 9,
+                    task,
+                    config,
+                    outputs: vec![[1.5, f64::NAN, -f64::NAN, f64::INFINITY][i as usize % 4]],
+                    prov,
+                }),
+                2 => DbEntry::Run(RunSummary {
+                    problem: "p".into(),
+                    sig: 9,
+                    prov,
+                    stats: RunStats {
+                        n_evals: i as u64,
+                        search_wall_secs: -0.0,
+                        ..RunStats::default()
+                    },
+                }),
+                _ => DbEntry::Fail(FailRecord {
+                    problem: "p".into(),
+                    sig: 9,
+                    task,
+                    config,
+                    kind: [FailKind::Crashed, FailKind::Transient][i as usize % 8 / 4],
+                    attempts: 1 + i as u64,
+                    elapsed_secs: odd_nan,
+                    prov,
+                }),
+            });
+        }
+        let path = d.join("fuzz.gdb2");
+        write(&path, "p", 9, &entries).unwrap();
+        (std::fs::read(&path).unwrap(), entries)
+    }
+
+    /// `(start, payload_start, end)` of every record frame of a valid file.
+    fn frames(bytes: &[u8]) -> Vec<(usize, usize, usize)> {
+        let mut r = Reader { buf: bytes, pos: 0 };
+        r.take(MAGIC.len() + 1).unwrap();
+        r.str().unwrap();
+        r.take(8).unwrap();
+        for _ in 0..r.varint().unwrap() {
+            r.str().unwrap();
+        }
+        let mut out = Vec::new();
+        while r.pos < bytes.len() {
+            let start = r.pos;
+            let len = r.varint().unwrap() as usize;
+            let payload_start = r.pos;
+            r.take(len + 4).unwrap();
+            out.push((start, payload_start, r.pos));
+        }
+        out
+    }
+
+    /// Bit-exact identity of an entry: its text (strings, machine) and its
+    /// payload bytes (float bits, NaN payloads included).
+    fn exact(es: &[DbEntry]) -> Vec<(String, Vec<u8>)> {
+        es.iter()
+            .map(|e| (format!("{e:?}"), encode_entry(e, &[])))
+            .collect()
+    }
+
+    /// Scans `bytes` with every mask and checks the invariants that hold
+    /// for any input: no panic, and each masked scan returns the all-kinds
+    /// entries of its kind. With the header intact, every entry returned
+    /// must also be one written (a rewritten header renames them all).
+    /// Returns the all-kinds entries, or `None` for a rejected header.
+    fn check(bytes: &[u8], written: &[DbEntry], header_intact: bool) -> Option<Vec<DbEntry>> {
+        let all = scan_bytes(bytes, Kinds::ALL);
+        for kinds in [Kinds::EVAL, Kinds::RUN, Kinds::FAIL] {
+            match (&all, scan_bytes(bytes, kinds)) {
+                (Ok((a, _)), Ok((m, report))) => {
+                    let want: Vec<DbEntry> =
+                        a.iter().filter(|e| kinds.admits(e)).cloned().collect();
+                    assert_eq!(exact(&m), exact(&want), "{kinds:?}");
+                    assert_eq!(report.n_loaded, m.len());
+                }
+                (Err(_), Err(_)) => {}
+                (a, m) => panic!("header verdicts differ: {:?} vs {:?}", a.is_ok(), m.is_ok()),
+            }
+        }
+        let (all, _) = all.ok()?;
+        let known = exact(written);
+        for e in exact(&all).into_iter().filter(|_| header_intact) {
+            assert!(known.contains(&e), "returned an entry never written: {e:?}");
+        }
+        Some(all)
+    }
+
+    #[test]
+    fn fuzzed_shards_scan_alike_and_never_return_bad_crcs() {
+        let d = tmpdir("fuzz");
+        let (bytes, entries) = fuzz_shard(&d);
+        let frames = frames(&bytes);
+        assert_eq!(frames.len(), entries.len());
+        let without = |i: usize| -> Vec<DbEntry> {
+            let mut es = entries.clone();
+            es.remove(i);
+            es
+        };
+        let header_end = frames[0].0;
+
+        // Truncation at every record boundary keeps exactly the records
+        // before it; a cut inside a record also reports a torn tail.
+        for (k, &(start, _, end)) in frames.iter().enumerate() {
+            let kept = check(&bytes[..start], &entries, true).unwrap();
+            assert_eq!(exact(&kept), exact(&entries[..k]));
+            for cut in start + 1..end {
+                let (kept, report) = scan_bytes(&bytes[..cut], Kinds::ALL).unwrap();
+                assert_eq!(exact(&kept), exact(&entries[..k]));
+                assert!(report.dropped_torn_tail);
+            }
+        }
+
+        let mut rng = Mix(0x7632_f022_5eed);
+        for case in 0..4000 {
+            let mut b = bytes.clone();
+            let i = rng.below(frames.len());
+            let (start, payload_start, end) = frames[i];
+            // The all-kinds result the mutation must give, when it is known.
+            let expected = match case % 4 {
+                // One flipped bit in a payload or its CRC drops that record.
+                0 => {
+                    b[payload_start + rng.below(end - payload_start)] ^= 1 << rng.below(8);
+                    Some(without(i))
+                }
+                // A rewritten tag byte fails the CRC too, whatever tag it names.
+                1 => {
+                    let tag = usize::from(b[payload_start]);
+                    b[payload_start] = ((tag + 1 + rng.below(255)) % 256) as u8;
+                    Some(without(i))
+                }
+                // A corrupted length prefix reframes the rest of the file.
+                2 => {
+                    let n = 1 + rng.below(3);
+                    let junk: Vec<u8> = (0..n).map(|_| rng.next() as u8).collect();
+                    b.splice(start..payload_start, junk);
+                    None
+                }
+                // Random bytes anywhere, header included.
+                _ => {
+                    for _ in 0..1 + rng.below(4) {
+                        let at = rng.below(b.len());
+                        b[at] = rng.next() as u8;
+                    }
+                    None
+                }
+            };
+            let got = check(&b, &entries, b[..header_end] == bytes[..header_end]);
+            if let Some(want) = expected {
+                assert_eq!(exact(&got.unwrap()), exact(&want), "case {case}");
+            }
+        }
+        let (all, report) = scan_bytes(&bytes, Kinds::ALL).unwrap();
+        assert!(report.is_clean());
+        assert_eq!(exact(&all), exact(&entries));
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn masked_scan_skips_other_kinds_unchecked() {
+        // A corrupt record of another kind is stepped over, not counted.
+        let d = tmpdir("masked");
+        let (mut bytes, entries) = fuzz_shard(&d);
+        let (_, payload_start, _) = frames(&bytes)[2]; // a run summary
+        bytes[payload_start + 1] ^= 0x01;
+        let (evals, report) = scan_bytes(&bytes, Kinds::EVAL).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        let want: Vec<DbEntry> = entries
+            .iter()
+            .filter(|e| matches!(e, DbEntry::Eval(_)))
+            .cloned()
+            .collect();
+        assert_eq!(exact(&evals), exact(&want));
+        let (_, report) = scan_bytes(&bytes, Kinds::RUN).unwrap();
+        assert_eq!(report.n_corrupt_interior, 1);
+        let _ = std::fs::remove_dir_all(&d);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! kinds.
 
 use crate::json::{self, Cursor, Json, ParseError};
+use std::collections::HashSet;
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 
 /// Current journal format version stamped on every line.
 pub const FORMAT_VERSION: i64 = 1;
@@ -540,6 +542,161 @@ impl DbEntry {
             }
         }
     }
+}
+
+/// A set of entry kinds: what a kind-filtered archive read returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Kinds(u8);
+
+impl Kinds {
+    /// Evaluation records.
+    pub(crate) const EVAL: Kinds = Kinds(1);
+    /// Run summaries.
+    pub(crate) const RUN: Kinds = Kinds(2);
+    /// Failure records.
+    pub(crate) const FAIL: Kinds = Kinds(4);
+    /// Record kinds this reader does not know (newer writers).
+    pub(crate) const OTHER: Kinds = Kinds(0x80);
+    /// Every kind, [`Kinds::OTHER`] included, so a full load still counts
+    /// unknown records.
+    pub(crate) const ALL: Kinds = Kinds(u8::MAX);
+
+    /// `true` when every kind of `other` is in `self`.
+    pub(crate) fn contains(self, other: Kinds) -> bool {
+        self.0 & other.0 == other.0
+    }
+
+    /// `true` when `e`'s kind is in `self`.
+    pub(crate) fn admits(self, e: &DbEntry) -> bool {
+        self.contains(match e {
+            DbEntry::Eval(_) => Kinds::EVAL,
+            DbEntry::Run(_) => Kinds::RUN,
+            DbEntry::Fail(_) => Kinds::FAIL,
+        })
+    }
+}
+
+/// An entry's identity for deduplication: two `DedupKey`s are equal
+/// exactly when the entries' [`DbEntry::dedup_key`] strings are, but
+/// nothing is formatted. The fields compared are the ones the key spells:
+///
+/// * evals: sig, task and config as one concatenated value sequence, and
+///   the outputs; run summaries: sig and `prov.run`; failures: sig, fail
+///   kind, and task plus config as one sequence;
+/// * `Int`, `Real` and `Cat` values never compare equal to one another;
+/// * floats compare by bits, except that every NaN equals every other
+///   NaN (the key spells them all `"nan"`); so `-0.0` ≠ `0.0`.
+///
+/// Keys of different entry kinds never compare equal.
+pub(crate) struct DedupKey<'a>(pub(crate) &'a DbEntry);
+
+/// Float bits with every NaN folded onto one pattern.
+fn key_bits(x: f64) -> u64 {
+    if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+fn same_value(a: &DbValue, b: &DbValue) -> bool {
+    match (a, b) {
+        (DbValue::Real(x), DbValue::Real(y)) => key_bits(*x) == key_bits(*y),
+        (DbValue::Int(x), DbValue::Int(y)) => x == y,
+        (DbValue::Cat(x), DbValue::Cat(y)) => x == y,
+        _ => false,
+    }
+}
+
+/// Task and config of two entries, compared as single sequences.
+fn same_values(a: (&[DbValue], &[DbValue]), b: (&[DbValue], &[DbValue])) -> bool {
+    a.0.len() + a.1.len() == b.0.len() + b.1.len()
+        && a.0
+            .iter()
+            .chain(a.1)
+            .zip(b.0.iter().chain(b.1))
+            .all(|(x, y)| same_value(x, y))
+}
+
+fn hash_values<H: Hasher>(task: &[DbValue], config: &[DbValue], h: &mut H) {
+    h.write_usize(task.len() + config.len());
+    for v in task.iter().chain(config) {
+        match v {
+            DbValue::Real(x) => {
+                h.write_u8(0);
+                h.write_u64(key_bits(*x));
+            }
+            DbValue::Int(i) => {
+                h.write_u8(1);
+                h.write_i64(*i);
+            }
+            DbValue::Cat(c) => {
+                h.write_u8(2);
+                h.write_usize(*c);
+            }
+        }
+    }
+}
+
+impl PartialEq for DedupKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self.0, other.0) {
+            (DbEntry::Eval(a), DbEntry::Eval(b)) => {
+                a.sig == b.sig
+                    && same_values((&a.task, &a.config), (&b.task, &b.config))
+                    && a.outputs.len() == b.outputs.len()
+                    && a.outputs
+                        .iter()
+                        .zip(&b.outputs)
+                        .all(|(x, y)| key_bits(*x) == key_bits(*y))
+            }
+            (DbEntry::Run(a), DbEntry::Run(b)) => a.sig == b.sig && a.prov.run == b.prov.run,
+            (DbEntry::Fail(a), DbEntry::Fail(b)) => {
+                a.sig == b.sig
+                    && a.kind == b.kind
+                    && same_values((&a.task, &a.config), (&b.task, &b.config))
+            }
+            _ => false,
+        }
+    }
+}
+
+impl Eq for DedupKey<'_> {}
+
+impl Hash for DedupKey<'_> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        match self.0 {
+            DbEntry::Eval(r) => {
+                h.write_u8(b'e');
+                h.write_u64(r.sig);
+                hash_values(&r.task, &r.config, h);
+                h.write_usize(r.outputs.len());
+                for y in &r.outputs {
+                    h.write_u64(key_bits(*y));
+                }
+            }
+            DbEntry::Run(r) => {
+                h.write_u8(b'r');
+                h.write_u64(r.sig);
+                r.prov.run.hash(h);
+            }
+            DbEntry::Fail(r) => {
+                h.write_u8(b'f');
+                h.write_u64(r.sig);
+                h.write_u8(r.kind as u8);
+                hash_values(&r.task, &r.config, h);
+            }
+        }
+    }
+}
+
+/// Drops every entry whose [`DedupKey`] an earlier entry already has;
+/// the first occurrence wins and the kept order is unchanged.
+pub(crate) fn dedup(entries: &mut Vec<DbEntry>) {
+    let mut seen = HashSet::with_capacity(entries.len());
+    let keep: Vec<bool> = entries.iter().map(|e| seen.insert(DedupKey(e))).collect();
+    let mut keep = keep.into_iter();
+    entries.retain(|_| keep.next().unwrap_or(true));
 }
 
 fn parse_sig(j: &Json) -> Option<u64> {

@@ -28,6 +28,10 @@
 //! live journal not yet truncated) degrades to duplicates that
 //! deduplication removes, never to data loss. Shards in the manifest may
 //! be v1 (JSONL) or v2; `db_tool migrate-v2` upgrades v1 shards in place.
+//!
+//! `load_all` is the all-kinds case of the masked scan `scan_all`:
+//! `Db::failures`, `Db::query` and `Db::run_summaries` pass their one
+//! record kind, so v2 shards decode only those records.
 
 use crate::db::sanitize;
 use crate::fsio;
@@ -35,7 +39,7 @@ use crate::journal::{self, RecoveryReport};
 use crate::journal_v2;
 use crate::json::{self, Json};
 use crate::lock::{FileLock, LockOptions};
-use crate::record::DbEntry;
+use crate::record::{dedup, DbEntry, DedupKey, Kinds};
 use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -236,12 +240,31 @@ impl ShardManifest {
 /// Loads one shard file according to its manifest format. Per-record
 /// drop errors come back stamped with the shard's file name.
 pub fn load_shard(root: &Path, info: &ShardInfo) -> io::Result<(Vec<DbEntry>, RecoveryReport)> {
+    scan_shard(root, info, Kinds::ALL)
+}
+
+/// [`load_shard`] narrowed to `kinds`: a v2 shard steps over other kinds'
+/// records undecoded ([`journal_v2::scan`]); a JSONL shard is parsed in
+/// full, since a line's kind is known only once it is parsed, and then
+/// filtered.
+fn scan_shard(
+    root: &Path,
+    info: &ShardInfo,
+    kinds: Kinds,
+) -> io::Result<(Vec<DbEntry>, RecoveryReport)> {
     let path = root.join(&info.file);
     let (entries, mut report) = match info.format {
-        ShardFormat::Jsonl => journal::load(&path)?,
-        ShardFormat::V2 => journal_v2::load(&path)?,
+        ShardFormat::Jsonl => load_jsonl(&path, kinds)?,
+        ShardFormat::V2 => journal_v2::scan(&path, kinds)?,
     };
     stamp_file(&mut report, &info.file);
+    Ok((entries, report))
+}
+
+/// A JSONL journal's entries of `kinds`.
+fn load_jsonl(path: &Path, kinds: Kinds) -> io::Result<(Vec<DbEntry>, RecoveryReport)> {
+    let (mut entries, report) = journal::load(path)?;
+    entries.retain(|e| kinds.admits(e));
     Ok((entries, report))
 }
 
@@ -257,23 +280,37 @@ fn stamp_file(report: &mut RecoveryReport, file: &str) {
 /// The complete deduplicated history of `(problem, sig)`: manifest
 /// shards (in manifest order) followed by the live journal, with exact
 /// duplicates (same [`DbEntry::dedup_key`]) dropped. The recovery
-/// report aggregates all files read.
+/// report aggregates all files read. This is the all-kinds case of
+/// `scan_all`.
 pub fn load_all(
     root: &Path,
     problem: &str,
     sig: u64,
 ) -> io::Result<(Vec<DbEntry>, RecoveryReport)> {
+    scan_all(root, problem, sig, Kinds::ALL)
+}
+
+/// [`load_all`] narrowed to `kinds`, filtered before deduplication. Dedup
+/// keys of different kinds never collide, so the entries equal
+/// `load_all`'s filtered to `kinds`, in the same order. The report covers
+/// only what was decoded: v2 records of other kinds are not counted.
+pub(crate) fn scan_all(
+    root: &Path,
+    problem: &str,
+    sig: u64,
+    kinds: Kinds,
+) -> io::Result<(Vec<DbEntry>, RecoveryReport)> {
     let mut entries = Vec::new();
     let mut report = RecoveryReport::default();
     if let Some(manifest) = ShardManifest::load(root, problem, sig)? {
         for info in &manifest.shards {
-            let (es, r) = load_shard(root, info)?;
+            let (es, r) = scan_shard(root, info, kinds)?;
             absorb(&mut report, &r);
             entries.extend(es);
         }
     }
     let live_path = live_journal_path(root, problem, sig);
-    let (live, mut r) = journal::load(&live_path)?;
+    let (live, mut r) = load_jsonl(&live_path, kinds)?;
     stamp_file(
         &mut r,
         &live_path
@@ -283,8 +320,7 @@ pub fn load_all(
     );
     absorb(&mut report, &r);
     entries.extend(live);
-    let mut seen = HashSet::with_capacity(entries.len());
-    entries.retain(|e| seen.insert(e.dedup_key()));
+    dedup(&mut entries);
     report.n_loaded = entries.len();
     Ok((entries, report))
 }
@@ -394,23 +430,16 @@ pub fn compact_live(
 ) -> io::Result<(usize, usize)> {
     let live_path = live_journal_path(root, problem, sig);
     let _guard = FileLock::acquire(&live_path, lock)?;
-    let mut seen = HashSet::new();
+    let mut archived = Vec::new();
     if let Some(manifest) = ShardManifest::load(root, problem, sig)? {
         for info in &manifest.shards {
-            let (es, _) = load_shard(root, info)?;
-            for e in &es {
-                seen.insert(e.dedup_key());
-            }
+            archived.extend(load_shard(root, info)?.0);
         }
     }
     let (live, _) = journal::load(&live_path)?;
     let n_before = live.len();
-    let mut kept = Vec::new();
-    for e in live {
-        if seen.insert(e.dedup_key()) {
-            kept.push(e);
-        }
-    }
+    let mut seen: HashSet<DedupKey> = archived.iter().map(DedupKey).collect();
+    let kept: Vec<&DbEntry> = live.iter().filter(|e| seen.insert(DedupKey(e))).collect();
     let mut text = String::new();
     for e in &kept {
         text.push_str(&e.to_line());

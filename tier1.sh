@@ -28,8 +28,14 @@ cargo test -q --release -p gptune-sparse
 # shards, v2) or its codec equivalence suite: checkpoint documents, journal
 # lines and dedup keys byte-identical to test-only tree oracles, plus a
 # seeded differential fuzz of the in-place checkpoint decoder (release mode
-# for the fuzz count).
+# for the fuzz count); its read-path suite (kind-filtered reads and keyless
+# dedup against a string-key oracle, CRC-32 against a bitwise reference);
+# and a seeded mutation fuzz of the v2 shard reader.
 cargo test -q --release -p gptune-db
+# Benchmark self-test: perfbench is its own workspace, so the root tests
+# never build it. Its tiny-size run checks the benchmark's outputs against
+# gptune-db and gptune-sparse, so a db change that breaks them fails here.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q -p gptune-apps
 # Chaos gate: MLA under injected crashes/hangs/transients must complete,
 # resume deterministically, and skip journaled crashers.
